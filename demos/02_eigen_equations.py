@@ -4,7 +4,7 @@ Each function solves a matrix Schrodinger equation with potential
 x^2 I + 2J (family 1) or x^2 I + 4J (family 2), and is an eigenfunction of
 a Fourier-type integral transform with diagonal eigenvalue i^n i^{kJ}.
 Both identities are checked in exact coefficient algebra, and the transform
-is replayed through an independent Gauss-Hermite quadrature.
+is replayed through an independent trapezoidal quadrature.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ for spec in (FamilySpec(1, 3, [1.0, 0.5]), FamilySpec(2, 3, [1.0, 0.5])):
     phi = ctx.phi[5]
     exact = transform_apply(phi, spec.kind)
     xs = np.linspace(-5, 5, 11)
-    quad = quadrature_transform(phi, spec.kind, xs, 50)
+    quad = quadrature_transform(phi, spec.kind, xs)
     print(f"quadrature oracle vs exact transform (n=5): "
           f"{np.max(np.abs(quad - np.stack([exact(x) for x in xs]))):.2e}")
     print()

@@ -110,7 +110,7 @@ def cmd_check(args):
     spec = family_spec(args)
     tol = args.tol
     n_max = args.nmax
-    ctx = build_family(spec, n_max, args.quad_order)
+    ctx = build_family(spec, n_max)
     N = spec.size
     failures = 0
 
@@ -163,7 +163,7 @@ def cmd_check(args):
         f = ctx.phi[n]
         exact = transform_apply(f, k)
         for x in (-3.0, -1.0, 0.0, 2.0):
-            q = quadrature_transform(f, k, x, max(50, f.degree // 2 + 8))
+            q = quadrature_transform(f, k, x)
             oracle = max(oracle, float(np.max(np.abs(q - exact(x)))))
     line("quadrature_oracle_vs_exact", oracle, max(tol, 1e-8))
 
@@ -217,7 +217,7 @@ def cmd_density(args):
     if not (1 <= i <= spec.size and 1 <= j <= spec.size):
         raise ValueError(f"entry indices must be in 1..{spec.size}")
     xs = parse_grid(args.grid)
-    ctx = build_family(spec, args.nmax, args.quad_order)
+    ctx = build_family(spec, args.nmax)
     cols = []
     for n in range(args.nmax + 1):
         vals = ctx.phi_tilde[n](xs)
@@ -243,9 +243,8 @@ def cmd_transform(args):
     save_mg(g, args.out)
     if args.verify:
         worst = 0.0
-        order = max(50, f.degree // 2 + 8)
         for x in (-3.0, -1.5, 0.0, 0.8, 2.2):
-            q = quadrature_transform(f, args.k, x, order, direction=args.direction)
+            q = quadrature_transform(f, args.k, x, direction=args.direction)
             worst = max(worst, float(np.max(np.abs(q - g(x)))))
         print(f"max deviation from quadrature oracle: {worst:.3e}")
     return 0
@@ -256,7 +255,7 @@ def cmd_transform(args):
 
 def cmd_expand(args):
     spec = family_spec(args)
-    ctx = build_family(spec, args.nmax, args.quad_order)
+    ctx = build_family(spec, args.nmax)
     f = load_mg(args.infile)
     e = expand(f, ctx, project=args.project)
     data = {
@@ -281,7 +280,7 @@ def cmd_expand(args):
 
 def cmd_matrix_elements(args):
     spec = family_spec(args)
-    ctx = build_family(spec, args.nmax + args.k, args.quad_order)
+    ctx = build_family(spec, args.nmax + args.k)
     bp = band_pattern(ctx, args.k, args.nmax, args.tol)
     if args.out:
         bp.to_csv(args.out)
@@ -300,14 +299,12 @@ def build_parser():
     pc = sub.add_parser("check", help="run all identity-check suites")
     add_family_args(pc)
     pc.add_argument("--nmax", type=int, default=8)
-    pc.add_argument("--quad-order", dest="quad_order", type=int, default=None)
     pc.add_argument("--tol", type=float, default=1e-9)
     pc.set_defaults(func=cmd_check)
 
     pd = sub.add_parser("density", help="CSV of a density entry of Phi-tilde_n Phi-tilde_n^*")
     add_family_args(pd)
     pd.add_argument("--nmax", type=int, default=5)
-    pd.add_argument("--quad-order", dest="quad_order", type=int, default=None)
     pd.add_argument("--entry", default="1,1", help="matrix entry i,j (1-based)")
     pd.add_argument("--grid", default="-4:4:0.05", help="lo:hi:step")
     pd.add_argument("--out", default=None)
@@ -325,7 +322,6 @@ def build_parser():
     add_family_args(pe)
     pe.add_argument("infile")
     pe.add_argument("--nmax", type=int, default=8)
-    pe.add_argument("--quad-order", dest="quad_order", type=int, default=None)
     pe.add_argument("--project", action="store_true", help="allow truncated projection")
     pe.add_argument("--out", default=None)
     pe.set_defaults(func=cmd_expand)
@@ -334,7 +330,6 @@ def build_parser():
     add_family_args(pm)
     pm.add_argument("--k", type=int, choices=(1, 2), default=1)
     pm.add_argument("--nmax", type=int, default=5)
-    pm.add_argument("--quad-order", dest="quad_order", type=int, default=None)
     pm.add_argument("--tol", type=float, default=1e-10)
     pm.add_argument("--out", default=None)
     pm.set_defaults(func=cmd_matrix_elements)

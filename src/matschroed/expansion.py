@@ -7,10 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import FamilyContext, FamilySpec, build_structured, poly_eval, poly_matmul, weight_poly
+from .families import (
+    FamilyContext,
+    FamilySpec,
+    build_structured,
+    poly_eval,
+    poly_matmul,
+    right_factor_poly,
+)
 from .hermite import gauss_hermite
 from .matpoly import MatrixGaussian
-from .structmat import nilpotent_series
 
 
 def inner_product(F: MatrixGaussian, G: MatrixGaussian):
@@ -36,13 +42,13 @@ def inner_product_weighted(P, Q, spec: FamilySpec):
     if isinstance(Q, MatrixGaussian):
         Q = Q.coeffs
     pair = build_structured(spec.size, spec.nu)
-    V = weight_poly(spec, pair)
-    deg = (P.shape[0] - 1) + (Q.shape[0] - 1) + (V.shape[0] - 1)
+    R = right_factor_poly(pair, spec.kind)
+    deg = (P.shape[0] - 1) + (Q.shape[0] - 1) + 2 * (R.shape[0] - 1)
     rule = gauss_hermite(deg // 2 + 8)
     t, w = rule.nodes, rule.weights
-    return np.einsum(
-        "i,iab,ibc,idc->ad", w, poly_eval(P, t), poly_eval(V, t), np.conj(poly_eval(Q, t))
-    )
+    # W = e^{-x^2} R R^T; pairing P R with Q R avoids the cancellation inside R R^T
+    Rt = poly_eval(R, t)
+    return np.einsum("i,iab,icb->ac", w, poly_eval(P, t) @ Rt, np.conj(poly_eval(Q, t) @ Rt))
 
 
 @dataclass(frozen=True)
@@ -52,28 +58,6 @@ class CoefficientExpansion:
     spec: FamilySpec
     n_max: int
     coeffs: np.ndarray = field(repr=False)
-
-
-def _inverse_right_factor(ctx: FamilyContext):
-    """Polynomial coefficients of R(x)^{-1}: e^{-Ax} or e^{-Bx^2}."""
-    N = ctx.size
-    A = ctx.structured.A
-    import math
-
-    if ctx.spec.kind == 1:
-        coeffs = np.zeros((N, N, N))
-        term = np.eye(N)
-        for j in range(N):
-            coeffs[j] = (-1) ** j * term / math.factorial(j)
-            term = term @ A
-        return coeffs
-    B = A @ nilpotent_series([(-1) ** j * math.factorial(j) for j in range(N)], A)
-    coeffs = np.zeros((2 * N - 1, N, N))
-    term = np.eye(N)
-    for j in range(N):
-        coeffs[2 * j] = (-1) ** j * term / math.factorial(j)
-        term = term @ B
-    return coeffs
 
 
 def expand(F: MatrixGaussian, ctx: FamilyContext, project=False):
@@ -87,7 +71,7 @@ def expand(F: MatrixGaussian, ctx: FamilyContext, project=False):
     if F.size != ctx.size:
         raise ValueError("size mismatch")
     if not project:
-        q = poly_matmul(F.coeffs, _inverse_right_factor(ctx))
+        q = poly_matmul(F.coeffs, right_factor_poly(ctx.structured, ctx.spec.kind, sign=-1))
         scale = max(np.max(np.abs(q)), 1.0)
         deg = q.shape[0] - 1
         while deg > 0 and np.max(np.abs(q[deg])) < 1e-10 * scale:

@@ -1,11 +1,15 @@
 """The two concrete families of matrix-valued orthogonal functions.
 
-Family 1 has weight e^{-x^2} e^{Ax} e^{A*x}; family 2 has weight
-e^{-x^2} e^{Bx^2} e^{B*x^2} with B = A(I+A)^{-1}.  In both cases the monic
-orthogonal polynomials are built by Gram-Schmidt under the weighted inner
-product (quadrature-exact, every integrand is a polynomial times e^{-x^2}),
-then rescaled by a constant leading factor so the norms become diagonal, and
-finally turned into L^2 orthonormal functions Phi-tilde_n.
+Family k (k = 1, 2) has weight W(x) = e^{-x^2} R(x) R(x)^T with right factor
+R(x) = e^{Ax} (k = 1) or e^{Bx^2}, B = A(I+A)^{-1} (k = 2), and functions
+Phi_n(x) = e^{-x^2/2} P_n(x) R(x) with deg P_n = n.  The potential x^2 I + 2kJ
+of their Schrodinger operator acts on the right, so it decouples column by
+column into scalar harmonic oscillators: entry (r, a) of the orthonormal
+Phi-tilde_n is alpha[n, r, a] psi_m(x) with m = n + k(a - r), or zero when
+m < 0.  Each row of the table alpha is the null vector of the linear
+condition deg(Phi-tilde_n e^{x^2/2} R^{-1}) <= n, computed in the psi basis
+where multiplication by x is the ladder operator; the norms, Phi_n and P_n
+follow from the table in closed form.
 """
 
 import json
@@ -14,15 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import gauss_hermite, wave_poly
+from .hermite import wave_poly
 from .matpoly import MatrixGaussian
-from .structmat import (
-    StructuredPair,
-    build_structured,
-    inv_sqrt_power,
-    nilpotent_series,
-    phase_diag,
-)
+from .structmat import StructuredPair, build_structured, nilpotent_series
 
 
 class ConsistencyError(RuntimeError):
@@ -45,6 +43,8 @@ class FamilySpec:
         object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
         if len(self.nu) != self.size - 1:
             raise ValueError(f"expected {self.size - 1} parameters, got {len(self.nu)}")
+        if not all(math.isfinite(v) for v in self.nu):
+            raise ValueError(f"parameters must be finite, got {self.nu}")
 
     def to_json(self):
         return json.dumps({"kind": self.kind, "N": self.size, "nu": list(self.nu)})
@@ -91,49 +91,28 @@ def poly_eval(p, xs):
     return out
 
 
-def right_factor_poly(pair: StructuredPair, kind):
-    """Matrix polynomial part of the weight factor: e^{Ax} or e^{Bx^2}."""
+def right_factor_poly(pair: StructuredPair, kind, sign=1):
+    """Matrix polynomial part of the weight factor R = e^{Ax} or e^{Bx^2}; sign=-1 gives R^{-1}."""
     N, A = pair.size, pair.A
-    if kind == 1:
-        coeffs = np.zeros((N, N, N))
-        term = np.eye(N)
-        for j in range(N):
-            coeffs[j] = term / math.factorial(j)
-            term = term @ A
-        return coeffs
-    B = A @ nilpotent_series([(-1) ** j * math.factorial(j) for j in range(N)], A)  # A (I+A)^{-1}
-    coeffs = np.zeros((2 * N - 1, N, N))
+    if kind == 2:
+        A = A @ nilpotent_series([(-1) ** j * math.factorial(j) for j in range(N)], A)  # B = A (I+A)^{-1}
+    coeffs = np.zeros((kind * (N - 1) + 1, N, N))
     term = np.eye(N)
     for j in range(N):
-        coeffs[2 * j] = term / math.factorial(j)
-        term = term @ B
+        coeffs[kind * j] = term / math.factorial(j)
+        term = sign * term @ A
     return coeffs
 
 
-def weight_poly(spec, pair):
-    """Polynomial part of the weight: e^{x^2} W(x) = R(x) R(x)^T."""
-    R = right_factor_poly(pair, spec.kind)
-    RT = np.swapaxes(R, 1, 2)
-    return poly_matmul(R, RT)
-
-
 def weight_eval(spec, x):
-    """The weight matrix W(x); symmetric positive definite, W(0) = I."""
+    """The weight matrix W(x) = e^{-x^2} R(x) R(x)^T; symmetric positive definite, W(0) = I."""
     pair = build_structured(spec.size, spec.nu)
-    V = weight_poly(spec, pair)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xs = np.atleast_1d(x)
-    vals = poly_eval(V, xs) * np.exp(-xs * xs)[:, None, None]
+    R = poly_eval(right_factor_poly(pair, spec.kind), xs)
+    vals = R @ np.swapaxes(R, 1, 2) * np.exp(-xs * xs)[:, None, None]
     return vals[0] if scalar else vals
-
-
-def normalizer(pair: StructuredPair, kind, n):
-    """Constant leading factor L_n making the eigenvalue and norms diagonal."""
-    if kind == 1:
-        # e^{-A^2/4}
-        return nilpotent_series([(-0.25) ** j for j in range(pair.size)], pair.A @ pair.A)
-    return inv_sqrt_power(pair.A, 2 * n + 1)
 
 
 @dataclass(frozen=True)
@@ -143,11 +122,7 @@ class FamilyContext:
     spec: FamilySpec
     structured: StructuredPair
     n_max: int
-    quad: object = field(repr=False)
     right_factor: np.ndarray = field(repr=False)
-    wpoly: np.ndarray = field(repr=False)
-    monic: list = field(repr=False)
-    normalizers: list = field(repr=False)
     pn: list = field(repr=False)
     norms: list = field(repr=False)
     phi: list = field(repr=False)
@@ -158,86 +133,103 @@ class FamilyContext:
         return self.spec.size
 
 
-def build_family(spec, n_max, quad_order=None):
-    """Construct monic polynomials, normalized polynomials and functions.
+def _ladder(v):
+    """Multiplication by x on psi-coefficients along axis 0 (truncated at the top).
 
-    Gram-Schmidt (classical, with one re-orthogonalization pass) on the monic
-    monomials x^n I under the weighted inner product, then P_n = L_n hat-P_n,
-    Phi_n = e^{-x^2/2} P_n(x) R(x) and Phi-tilde_n = ||P_n||^{-1} Phi_n.
+    x psi_m = sqrt(m/2) psi_{m-1} + sqrt((m+1)/2) psi_{m+1}.
+    """
+    s = np.sqrt(np.arange(1, v.shape[0]) / 2.0)[:, None]
+    out = np.zeros_like(v)
+    out[:-1] += s * v[1:]
+    out[1:] += s * v[:-1]
+    return out
+
+
+def _table_row(spec, R_inv, alpha, n, r):
+    """Row r of the coefficient table of Phi-tilde_n, and the psi-coefficients of its P_n row.
+
+    Column a of the row is alpha_a psi_m with m = n + k(a - r) (k = kind).  The
+    row is the unit vector alpha with deg(row R^{-1}) <= n, i.e. no
+    psi-coefficient above n in any column of row R^{-1}, orthogonal to the
+    rows already built with the same eigenvalue n + kJ_r; the sign makes the
+    psi_n coefficient of column r positive.  Returns alpha over all N columns
+    and the psi-coefficients 0..n of each column of row R^{-1}, shape (n+1, N).
+    """
+    N, k = spec.size, spec.kind
+    m = n + k * (np.arange(N) - r)
+    sup = np.flatnonzero(m >= 0)
+    top = n + k * (N - 1 - r)  # highest psi index of any column of row R^{-1}
+    # krylov[p][:, i] = x^p psi_{m[sup[i]]}; the truncation at `top` is exact
+    # for every power that R^{-1} pairs with that column
+    krylov = np.zeros((R_inv.shape[0], top + 1, sup.size))
+    krylov[0, m[sup], np.arange(sup.size)] = 1.0
+    for p in range(1, krylov.shape[0]):
+        krylov[p] = _ladder(krylov[p - 1])
+    cols = np.einsum("pja,pab->bja", krylov, R_inv[:, sup, :])  # column b of psi_{m_a} e_a R^{-1}
+    same = [alpha[n - k * (r - q), q, sup] for q in range(r) if n - k * (r - q) >= 0]
+    rows = np.vstack([cols[:, n + 1 :, :].reshape(-1, sup.size)] + same)
+    _, s, vh = np.linalg.svd(rows)
+    s = np.pad(s, (0, sup.size - s.size))  # zero singular values of a wide or empty matrix
+    tol = s[0] * max(rows.shape) * np.finfo(float).eps
+    null_dim = int(np.count_nonzero(s <= tol))
+    where = f"kind {spec.kind}, N={N}, nu={spec.nu}, n={n}, row {r}"
+    if null_dim != 1:
+        raise ConsistencyError(
+            f"{where}: degree condition leaves a {null_dim}-dimensional solution space, expected 1 "
+            f"(singular values {s})"
+        )
+    v = vh[-1]
+    psi = np.einsum("bja,a->jb", cols[:, : n + 1, :], v)
+    if psi[n, r] == 0.0:
+        raise ConsistencyError(f"{where}: psi_{n} coefficient of the diagonal entry vanishes")
+    sign = np.sign(psi[n, r])
+    row = np.zeros(N)
+    row[sup] = sign * v
+    return row, sign * psi
+
+
+def build_family(spec, n_max):
+    """Construct the orthonormal functions, their norms and polynomials up to n_max.
+
+    Each Phi-tilde_n is built from its table of wave-function coefficients
+    (see `_table_row`).  With c_r the psi_n coefficient of column r of row r
+    of Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)),
+    Phi_n = ||P_n|| Phi-tilde_n and P_n is the polynomial part of
+    Phi_n R^{-1} e^{x^2/2}, whose leading coefficient has unit diagonal.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     pair = build_structured(spec.size, spec.nu)
-    N = spec.size
-    V = weight_poly(spec, pair)
-    deg_w = V.shape[0] - 1
-    # integrands are degree <= 2 n_max + deg_w; exactness needs 2m - 1 >= that
-    required = (2 * n_max + deg_w) // 2 + 1
-    if quad_order is None:
-        quad_order = max(n_max + N + 8, required)
-    elif quad_order < required:
-        raise ValueError(f"quadrature order {quad_order} below exactness requirement {required}")
-    rule = gauss_hermite(quad_order)
-    xs, ws = rule.nodes, rule.weights
-    Vx = poly_eval(V, xs)
+    N, k = spec.size, spec.kind
+    R = right_factor_poly(pair, k)
+    R_inv = right_factor_poly(pair, k, sign=-1)
+    top = n_max + k * (N - 1)
+    waves = np.zeros((top + 1, top + 1))  # column m: monomial coefficients of psi_m
+    for j in range(top + 1):
+        waves[: j + 1, j] = wave_poly(j)
 
-    def inner_w(p, q):
-        px = poly_eval(p, xs)
-        qx = poly_eval(q, xs)
-        return np.einsum("i,iab,ibc,idc->ad", ws, px, Vx, np.conj(qx))
-
-    # W(-x) = E W(x) E (family 1, E = diag((-1)^{N-1-j})) or W(-x) = W(x)
-    # (family 2), so hat-P_n is even under the matching reflection; projecting
-    # onto that symmetric part removes the anti-symmetric rounding noise.
-    E = phase_diag(N, 2).real
-    signs = (-1.0) ** np.arange(n_max + 1)
-
-    def symmetrize(p, n):
-        refl = p * signs[: p.shape[0], None, None]
-        if spec.kind == 1:
-            refl = np.einsum("ab,jbc,cd->jad", E, refl, E)
-        return 0.5 * (p + (-1.0) ** n * refl)
-
-    monic, hat_norms = [], []
+    alpha = np.zeros((n_max + 1, N, N))
+    pn, norms, phi, phi_tilde = [], [], [], []
     for n in range(n_max + 1):
-        p = np.zeros((n + 1, N, N), dtype=complex)
-        p[n] = np.eye(N)
-        for _ in range(2):
-            for m in range(n):
-                C = np.linalg.solve(hat_norms[m].T, inner_w(p, monic[m]).T).T
-                p[: m + 1] -= np.einsum("ab,jbc->jac", C, monic[m])
-            p = symmetrize(p, n)
-        monic.append(p)
-        hat_norms.append(inner_w(p, p))
-
-    R = right_factor_poly(pair, spec.kind)
-    normalizers_, pn, norms, phi, phi_tilde = [], [], [], [], []
-    for n in range(n_max + 1):
-        L = normalizer(pair, spec.kind, n)
-        normalizers_.append(L)
-        p = np.einsum("ab,jbc->jac", L, monic[n])
-        pn.append(p)
-        G = L @ hat_norms[n] @ np.conj(L).T
-        diag = np.real(np.diag(G))
-        off = G - np.diag(np.diag(G))
-        if np.max(np.abs(off)) > 1e-8 * np.max(np.abs(diag)):
-            raise ConsistencyError(f"norm of P_{n} is not diagonal: off-diagonal {np.max(np.abs(off)):.3e}")
-        if np.any(diag <= 0):
-            raise ConsistencyError(f"norm of P_{n} has non-positive diagonal entries")
-        norms.append(np.diag(diag))
-        f = MatrixGaussian.from_poly(poly_matmul(p, R))
-        phi.append(f)
-        phi_tilde.append(f.left_mul(np.diag(1.0 / np.sqrt(diag))))
+        psi = np.zeros((n + 1, N, N))
+        for r in range(N):
+            alpha[n, r], psi[:, r, :] = _table_row(spec, R_inv, alpha, n, r)
+        lead = np.diagonal(psi[n])
+        log_scale = math.lgamma(n + 1) - n * math.log(2.0) + 0.5 * math.log(math.pi)
+        norm = np.exp(log_scale - 2.0 * np.log(lead))
+        norms.append(np.diag(norm))
+        m = n + k * (np.arange(N)[None, :] - np.arange(N)[:, None])
+        coeffs = waves[: n + k * (N - 1) + 1, np.maximum(m, 0)] * alpha[n]
+        phi_tilde.append(MatrixGaussian(coeffs))
+        root = np.sqrt(norm)
+        phi.append(phi_tilde[-1].left_mul(np.diag(root)))
+        pn.append(np.einsum("dj,jab->dab", waves[: n + 1, : n + 1], root[:, None] * psi))
 
     return FamilyContext(
         spec=spec,
         structured=pair,
         n_max=n_max,
-        quad=rule,
         right_factor=R,
-        wpoly=V,
-        monic=monic,
-        normalizers=normalizers_,
         pn=pn,
         norms=norms,
         phi=phi,

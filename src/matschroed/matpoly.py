@@ -7,6 +7,7 @@ class and computed at coefficient level, so identities can be checked by
 comparing coefficients instead of sampling.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,11 +19,24 @@ TRIM_TOL = 1e-14
 FOURIER_DEGREE_CAP = 64
 
 
+@lru_cache(maxsize=None)
+def _degree_norms(count):
+    """sqrt(Gamma(j + 1/2)) / sqrt(Gamma(count - 1/2)) for j < count: relative L^2 norms of x^j e^{-x^2/2}."""
+    logs = np.array([0.5 * math.lgamma(j + 0.5) for j in range(count)])
+    return np.exp(logs - logs[-1])
+
+
 def _trim(coeffs):
-    d = coeffs.shape[0] - 1
-    while d > 0 and np.max(np.abs(coeffs[d])) < TRIM_TOL:
-        d -= 1
-    return np.ascontiguousarray(coeffs[: d + 1])
+    """Drop trailing degrees whose L^2 size is below TRIM_TOL times the largest.
+
+    The size of degree j is max|C_j| times the L^2 norm of x^j e^{-x^2/2}, so
+    the tiny leading coefficients of high wave functions are kept.  An
+    all-zero input trims to degree 0.
+    """
+    count = coeffs.shape[0]
+    sizes = np.abs(coeffs).reshape(count, -1).max(axis=1) * _degree_norms(count)
+    keep = np.flatnonzero(sizes > TRIM_TOL * sizes.max())
+    return np.ascontiguousarray(coeffs[: keep[-1] + 1 if keep.size else 1])
 
 
 @dataclass(frozen=True)

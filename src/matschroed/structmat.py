@@ -91,15 +91,3 @@ def nilpotent_series(taylor, A):
         out += (taylor[j] / factorial(j)) * term
         term = term @ A
     return out
-
-
-def inv_sqrt_power(A, power):
-    """(I + A)^{-power/2} for nilpotent A, via the exact binomial series."""
-    N = A.shape[0]
-    alpha = power / 2.0
-    # Taylor derivatives of (1+x)^{-alpha}: f^(j)(0) = (-1)^j alpha (alpha+1) ... (alpha+j-1)
-    taylor = np.empty(N)
-    taylor[0] = 1.0
-    for j in range(1, N):
-        taylor[j] = -taylor[j - 1] * (alpha + j - 1)
-    return nilpotent_series(taylor, A)

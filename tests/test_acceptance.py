@@ -85,7 +85,7 @@ def test_03_integral_eigen_equations(contexts):
         lam = (1j) ** np.arange(N_MAX + 1)
         for n in range(N_MAX + 1):
             phi = ctx.phi_tilde[n]
-            q = quadrature_transform(phi, k, xs, max(50, phi.degree // 2 + 8))
+            q = quadrature_transform(phi, k, xs)
             rhs = np.einsum("ab,xbc->xac", lam[n] * phase_diag(spec.size, k), phi(xs))
             worst_oracle = max(worst_oracle, float(np.max(np.abs(q - rhs))))
     report(3, "integral eigen-equation (exact)", worst_exact, 1e-9)

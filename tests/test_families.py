@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matschroed.families import (
+    ConsistencyError,
     FamilySpec,
     build_family,
     closed_form_N2,
@@ -11,6 +12,7 @@ from matschroed.families import (
     weight_eval,
 )
 from matschroed.expansion import inner_product, inner_product_weighted
+from matschroed.structmat import build_structured, nilpotent_series
 
 SPECS = [
     FamilySpec(1, 2, [1.0]),
@@ -27,6 +29,8 @@ def test_spec_validation():
         FamilySpec(1, 0, [])
     with pytest.raises(ValueError):
         FamilySpec(1, 3, [1.0])
+    with pytest.raises(ValueError):
+        FamilySpec(2, 3, [0.5, float("nan")])
 
 
 def test_spec_json_roundtrip():
@@ -58,11 +62,40 @@ def test_weight_scalar_case_is_gaussian():
     np.testing.assert_allclose(weight_eval(spec, xs)[:, 0, 0], np.exp(-xs ** 2), atol=1e-15)
 
 
+def inv_sqrt_power(A, power):
+    """(I + A)^{-power/2} for nilpotent A, via the exact binomial series."""
+    N = A.shape[0]
+    alpha = power / 2.0
+    # Taylor derivatives of (1+x)^{-alpha}: f^(j)(0) = (-1)^j alpha (alpha+1) ... (alpha+j-1)
+    taylor = np.empty(N)
+    taylor[0] = 1.0
+    for j in range(1, N):
+        taylor[j] = -taylor[j - 1] * (alpha + j - 1)
+    return nilpotent_series(taylor, A)
+
+
+def normalizer(A, kind, n):
+    """The paper's leading coefficient L_n of P_n: e^{-A^2/4} (family 1), (I+A)^{-(2n+1)/2} (family 2)."""
+    if kind == 1:
+        return nilpotent_series([(-0.25) ** j for j in range(A.shape[0])], A @ A)
+    return inv_sqrt_power(A, 2 * n + 1)
+
+
+def test_inv_sqrt_power_against_dense():
+    # (I + A)^{-p/2} squared p times reproduces (I + A)^{-p}
+    sp = build_structured(4, [0.5, -1.0, 2.0])
+    M = inv_sqrt_power(sp.A, 3)
+    lhs = np.linalg.matrix_power(M, 2)
+    rhs = np.linalg.inv(np.linalg.matrix_power(np.eye(4) + sp.A, 3))
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=str)
-def test_monic_leading_coefficient(spec):
+def test_leading_coefficient_is_paper_normalizer(spec):
     ctx = build_family(spec, 6)
     for n in range(7):
-        np.testing.assert_allclose(ctx.monic[n][n], np.eye(spec.size), atol=1e-12)
+        L = normalizer(ctx.structured.A, spec.kind, n)
+        np.testing.assert_allclose(ctx.pn[n][n], L, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -127,11 +160,28 @@ def test_closed_form_rejects_wrong_size():
 
 
 def test_build_family_quad_order_validation():
-    spec = FamilySpec(1, 2, [1.0])
     with pytest.raises(ValueError):
-        build_family(spec, 10, quad_order=3)
-    with pytest.raises(ValueError):
-        build_family(spec, -1)
+        build_family(FamilySpec(1, 2, [1.0]), -1)
+
+
+@pytest.mark.parametrize("kind, N, n_max", [(1, 2, 40), (2, 8, 20)])
+def test_orthonormality_at_the_frontier(kind, N, n_max):
+    # the accuracy frontier of monomial storage, checked by point evaluation on
+    # a uniform grid (trapezoidal rule), independent of the coefficient algebra
+    ctx = build_family(FamilySpec(kind, N, [0.8] * (N - 1)), n_max)
+    h = 0.05
+    xs = h * np.arange(-360, 361)
+    vals = np.stack([f(xs) for f in ctx.phi_tilde])  # (n, x, a, c)
+    M = vals.transpose(0, 2, 1, 3).reshape((n_max + 1) * N, -1)
+    G = h * M @ M.conj().T
+    assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-6
+
+
+def test_consistency_error_names_spec_and_index():
+    # with nu this large the small entries of the degree condition fall below
+    # the rounding of its large ones, so its numerical null space is 2-dimensional
+    with pytest.raises(ConsistencyError, match=r"kind 1, N=3, nu=\(100000000\.0, 100000000\.0\), n=0, row 0"):
+        build_family(FamilySpec(1, 3, [1e8, 1e8]), 0)
 
 
 def test_build_family_scalar_reduces_to_hermite():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matschroed.families import FamilySpec, build_family, gamma_seq
-from matschroed.hermite import wave_function
+from matschroed.hermite import wave_function, wave_poly
 from matschroed.matpoly import FOURIER_DEGREE_CAP, MatrixGaussian
 from matschroed.operators import quadrature_transform
 from matschroed.structmat import phase_diag
@@ -104,7 +104,7 @@ def test_fourier_matches_quadrature_oracle():
     f = random_mg(rng, 7, 2)
     g = f.fourier(1)
     for x in (-3.0, -1.0, 0.0, 2.0):
-        q = quadrature_transform(f, 0, x, 40)
+        q = quadrature_transform(f, 0, x)
         np.testing.assert_allclose(g(x), q, atol=1e-9)
 
 
@@ -149,3 +149,7 @@ def test_trailing_trim():
     c[0] = np.eye(2)
     c[4] = 1e-16
     assert MatrixGaussian(c).degree == 0
+    # the trim is relative to each degree's L^2 size, not absolute
+    c[2] = np.eye(2)
+    assert MatrixGaussian(1e-15 * c).degree == 2
+    assert MatrixGaussian.from_poly(wave_poly(40)[:, None, None]).degree == 40

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from matschroed import operators
 from matschroed.families import FamilySpec, build_family
+from matschroed.hermite import wave_poly
 from matschroed.matpoly import MatrixGaussian
 from matschroed.operators import (
     fourier_eigen_residual,
@@ -59,7 +61,7 @@ def test_fourier_eigen_against_quadrature(contexts, spec):
     xs = np.linspace(-5, 5, 21)
     for n in (0, 3, 8):
         phi = ctx.phi[n]
-        lhs = quadrature_transform(phi, k, xs, 50)
+        lhs = quadrature_transform(phi, k, xs)
         rhs = np.einsum("ab,xbc->xac", (1j) ** n * phase_diag(spec.size, k), phi(xs))
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * max(1.0, phi.max_abs())
 
@@ -123,6 +125,17 @@ def test_transform_inverse_roundtrip():
 def test_quadrature_transform_validation():
     f = MatrixGaussian.from_poly(np.ones((21, 2, 2)))
     with pytest.raises(ValueError):
-        quadrature_transform(f, 1, 0.0, 10)
-    with pytest.raises(ValueError):
-        quadrature_transform(f, 1, 0.0, 50, direction=2)
+        quadrature_transform(f, 1, 0.0, direction=2)
+
+
+def test_quadrature_oracle_converges(monkeypatch):
+    # psi_12 is a Fourier eigenfunction with eigenvalue i^12 = 1; the error
+    # falls geometrically as the trapezoidal step shrinks
+    psi = MatrixGaussian.from_poly(wave_poly(12)[:, None, None])
+    xs = np.linspace(-4.0, 4.0, 9)
+    errors = []
+    for step in (0.7, 0.6, 0.5, 0.4):
+        monkeypatch.setattr(operators, "TRAPEZOID_STEP", step)
+        errors.append(float(np.max(np.abs(quadrature_transform(psi, 0, xs) - psi(xs)))))
+    assert all(a > b for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < 1e-12

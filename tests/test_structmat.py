@@ -3,7 +3,6 @@ import pytest
 
 from matschroed.structmat import (
     build_structured,
-    inv_sqrt_power,
     nilpotent_series,
     phase_diag,
     trig_diag,
@@ -115,12 +114,3 @@ def test_nilpotent_series_exp_truncation():
 def test_nilpotent_series_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         nilpotent_series([1.0, 1.0], np.eye(2))
-
-
-def test_inv_sqrt_power_against_dense():
-    # (I + A)^{-p/2} squared p times reproduces (I + A)^{-p}
-    sp = build_structured(4, [0.5, -1.0, 2.0])
-    M = inv_sqrt_power(sp.A, 3)
-    lhs = np.linalg.matrix_power(M, 2)
-    rhs = np.linalg.inv(np.linalg.matrix_power(np.eye(4) + sp.A, 3))
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
