@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .expansion import band_pattern, expand, inner_product, matrix_element, reconstruct
+from .expansion import _gram_blocks, band_pattern, expand, reconstruct
 from .families import FamilySpec, build_family, closed_form_N2, gamma_seq
 from .matpoly import MatrixGaussian
 from .operators import (
@@ -34,26 +34,35 @@ def get_seed():
 # -- MatrixGaussian file format ---------------------------------------------
 
 
+def _pairs(c):
+    """Complex array -> nested lists of [re, im] pairs in the last axis."""
+    return np.stack([c.real, c.imag], axis=-1).tolist()
+
+
 def mg_to_dict(f: MatrixGaussian):
-    coeffs = []
-    for j in range(f.degree + 1):
-        mat = []
-        for i in range(f.size):
-            for k in range(f.size):
-                v = f.coeffs[j, i, k]
-                mat.append([v.real, v.imag])
-        coeffs.append(mat)
+    coeffs = _pairs(f.coeffs.reshape(f.degree + 1, f.size * f.size))
     return {"N": f.size, "degree": f.degree, "coeffs": coeffs}
 
 
 def mg_from_dict(data):
-    N = data["N"]
-    d = data["degree"]
-    coeffs = np.zeros((d + 1, N, N), dtype=complex)
-    for j, mat in enumerate(data["coeffs"]):
-        for idx, (re, im) in enumerate(mat):
-            coeffs[j, idx // N, idx % N] = re + 1j * im
-    return MatrixGaussian(coeffs)
+    N, d = data["N"], data["degree"]
+    if not isinstance(N, int) or N < 1:
+        raise ValueError(f"'N' must be a positive integer, got {N!r}")
+    if not isinstance(d, int) or d < 0:
+        raise ValueError(f"'degree' must be a non-negative integer, got {d!r}")
+    try:
+        pairs = np.asarray(data["coeffs"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'coeffs' must be a rectangular array of numbers ({exc})") from None
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(f"'coeffs' must hold matrices of [re, im] pairs, got shape {pairs.shape}")
+    if pairs.shape[0] != d + 1:
+        raise ValueError(f"'degree' is {d} but 'coeffs' holds {pairs.shape[0]} matrices (expected degree + 1)")
+    if pairs.shape[1] != N * N:
+        raise ValueError(f"'coeffs' matrices have {pairs.shape[1]} entries, expected N*N = {N * N}")
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("'coeffs' entries must be finite")
+    return MatrixGaussian((pairs[..., 0] + 1j * pairs[..., 1]).reshape(d + 1, N, N))
 
 
 def save_mg(f, path):
@@ -121,12 +130,8 @@ def cmd_check(args):
             failures += 1
         print(f"{'PASS' if ok else 'FAIL'}  {name:<42} residual {residual:.3e}  tol {limit:.1e}")
 
-    ortho = 0.0
-    for n in range(n_max + 1):
-        for m in range(n, n_max + 1):
-            g = inner_product(ctx.phi_tilde[n], ctx.phi_tilde[m])
-            target = np.eye(N) if n == m else np.zeros((N, N))
-            ortho = max(ortho, float(np.max(np.abs(g - target))))
+    gram = _gram_blocks(ctx.phi_tilde, ctx.phi_tilde)
+    ortho = float(np.max(np.abs(gram - np.eye(n_max + 1)[:, :, None, None] * np.eye(N))))
     line("orthonormality", ortho, tol)
 
     line("schrodinger", max(schrodinger_residual(ctx, n).max_coeff_norm for n in range(n_max + 1)), tol)
@@ -261,9 +266,7 @@ def cmd_expand(args):
     data = {
         "spec": json.loads(spec.to_json()),
         "n_max": e.n_max,
-        "coeffs": [
-            [[v.real, v.imag] for v in e.coeffs[n].reshape(-1)] for n in range(e.n_max + 1)
-        ],
+        "coeffs": _pairs(e.coeffs.reshape(e.n_max + 1, -1)),
     }
     out = open(args.out, "w") if args.out else sys.stdout
     try:

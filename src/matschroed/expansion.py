@@ -11,24 +11,44 @@ from .families import (
     FamilyContext,
     FamilySpec,
     build_structured,
-    poly_eval,
     poly_matmul,
     right_factor_poly,
 )
 from .hermite import gauss_hermite
-from .matpoly import MatrixGaussian
+from .matpoly import MatrixGaussian, degree_of, poly_eval
+
+# relative L^2 size below which a coefficient of F e^{x^2/2} R^{-1} counts as zero
+SPAN_RTOL = 1e-10
+
+
+def _gram_blocks(fs, gs, k=0):
+    """Every block <x^k f_n, g_m> = int x^k f_n(x) g_m(x)^* dx, shape (len(fs), len(gs), N, N).
+
+    The paired Gaussian envelopes leave a polynomial against e^{-x^2}, so one
+    Gauss-Hermite rule, exact for the highest-degree pair times x^k, serves
+    all pairs.  Each function is evaluated once; with X and Y the sqrt(w)-scaled
+    values stacked as (function, entry row) x (node, entry column), the
+    blocks are the one product (t^k X) Y^*.
+    """
+    N = fs[0].size
+    if any(h.size != N for h in (*fs, *gs)):
+        raise ValueError("size mismatch")
+    deg = max(f.degree for f in fs) + max(g.degree for g in gs) + k
+    rule = gauss_hermite(deg // 2 + 8)
+    t, sw = rule.nodes, np.sqrt(rule.weights)
+
+    def stacked(hs, scale):
+        vals = np.stack([h.poly_at(t) for h in hs]) * scale[None, :, None, None]
+        return vals.transpose(0, 2, 1, 3).reshape(len(hs) * N, t.size * N)
+
+    X = stacked(fs, sw * t**k)
+    Y = stacked(gs, sw)
+    return (X @ Y.conj().T).reshape(len(fs), N, len(gs), N).transpose(0, 2, 1, 3)
 
 
 def inner_product(F: MatrixGaussian, G: MatrixGaussian):
-    """<F, G> = int F(x) G(x)^* dx, quadrature-exact.
-
-    The paired Gaussian envelopes leave a polynomial against e^{-x^2}.
-    """
-    if F.size != G.size:
-        raise ValueError("size mismatch")
-    rule = gauss_hermite((F.degree + G.degree) // 2 + 8)
-    t, w = rule.nodes, rule.weights
-    return np.einsum("i,iab,icb->ac", w, F.poly_at(t), np.conj(G.poly_at(t)))
+    """<F, G> = int F(x) G(x)^* dx, quadrature-exact."""
+    return _gram_blocks([F], [G])[0, 0]
 
 
 def inner_product_weighted(P, Q, spec: FamilySpec):
@@ -72,16 +92,13 @@ def expand(F: MatrixGaussian, ctx: FamilyContext, project=False):
         raise ValueError("size mismatch")
     if not project:
         q = poly_matmul(F.coeffs, right_factor_poly(ctx.structured, ctx.spec.kind, sign=-1))
-        scale = max(np.max(np.abs(q)), 1.0)
-        deg = q.shape[0] - 1
-        while deg > 0 and np.max(np.abs(q[deg])) < 1e-10 * scale:
-            deg -= 1
+        deg = degree_of(q, SPAN_RTOL)
         if deg > ctx.n_max:
             raise ValueError(
                 f"input spans degree {deg} > n_max {ctx.n_max}; expansion would truncate "
                 "(pass project=True for a projection)"
             )
-    coeffs = np.stack([inner_product(F, ctx.phi_tilde[n]) for n in range(ctx.n_max + 1)])
+    coeffs = _gram_blocks([F], ctx.phi_tilde)[0]
     return CoefficientExpansion(spec=ctx.spec, n_max=ctx.n_max, coeffs=coeffs)
 
 
@@ -99,9 +116,7 @@ def matrix_element(ctx: FamilyContext, k, n, m):
     """(x^k I)_{nm} = int x^k Phi-tilde_n(x) Phi-tilde_m(x)^* dx."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    xk = np.zeros(k + 1)
-    xk[k] = 1.0
-    return inner_product(ctx.phi_tilde[n].poly_mul(xk), ctx.phi_tilde[m])
+    return _gram_blocks([ctx.phi_tilde[n]], [ctx.phi_tilde[m]], k)[0, 0]
 
 
 @dataclass(frozen=True)
@@ -144,12 +159,13 @@ def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
         n_max = ctx.n_max
     if n_max > ctx.n_max:
         raise ValueError("n_max exceeds context")
+    if k not in (1, 2):
+        raise ValueError("k must be 1 or 2")
     N = ctx.size
-    blocks = np.zeros((n_max + 1, n_max + 1, N, N), dtype=complex)
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            if abs(n - m) <= k:
-                blocks[n, m] = matrix_element(ctx, k, n, m)
+    phis = ctx.phi_tilde[: n_max + 1]
+    blocks = _gram_blocks(phis, phis, k)
+    index = np.arange(n_max + 1)
+    blocks[np.abs(index[:, None] - index[None, :]) > k] = 0.0
     flat = blocks.transpose(0, 2, 1, 3).reshape((n_max + 1) * N, (n_max + 1) * N)
     return BandMatrix(
         spec=ctx.spec,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import wave_poly
-from .matpoly import MatrixGaussian
+from .matpoly import MatrixGaussian, poly_eval
 from .structmat import StructuredPair, build_structured, nilpotent_series
 
 
@@ -80,14 +80,6 @@ def poly_matmul(p, q):
     for a in range(dp + 1):
         for b in range(dq + 1):
             out[a + b] += p[a] @ q[b]
-    return out
-
-
-def poly_eval(p, xs):
-    """Evaluate a matrix polynomial at 1-d points xs -> (len(xs), N, N)."""
-    out = np.broadcast_to(p[-1], (xs.size,) + p.shape[1:]).copy()
-    for j in range(p.shape[0] - 2, -1, -1):
-        out = out * xs[:, None, None] + p[j]
     return out
 
 

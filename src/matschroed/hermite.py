@@ -3,13 +3,14 @@
 Conventions: H_n are the physicists' polynomials (H_{n+1} = 2x H_n - 2n H_{n-1}),
 hat-H_n the monic ones (hH_{n+1} = x hH_n - n hH_{n-1}), and
 psi_n(x) = (2^n n! sqrt(pi))^{-1/2} e^{-x^2/2} H_n(x) the normalized wave
-functions.  The quadrature rule integrates against the weight e^{-x^2} on R.
+functions.  The quadrature rule integrates against the weight e^{-x^2} on R;
+it needs numpy only, is computed once per order and is shared read-only.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -87,24 +88,31 @@ def wave_poly(n):
     return cur
 
 
+@lru_cache(maxsize=None)
 def gauss_hermite(m):
-    """m-point Gauss-Hermite rule from the symmetric Jacobi matrix.
+    """m-point Gauss-Hermite rule, cached by order; the returned arrays are read-only.
 
-    Eigen-decomposition of the tridiagonal matrix with off-diagonal
-    sqrt(k/2); weights are sqrt(pi) times the squared first eigenvector
-    components.
+    The nodes are the eigenvalues of the symmetric Jacobi matrix with
+    off-diagonal sqrt(k/2) (Golub & Welsch, Math. Comp. 23, 1969), refined
+    by one Newton step on psi_m.  The weights are the Christoffel numbers
+    e^{-x^2} / (m psi_{m-1}(x)^2), scaled to sum to sqrt(pi); unlike the
+    squared first eigenvector components, they keep full relative accuracy
+    at the small outer nodes.  Weights below the double range are 0.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
-    if m == 1:
-        return QuadratureRule(order=1, nodes=np.zeros(1), weights=np.array([np.sqrt(np.pi)]))
     beta = np.sqrt(np.arange(1, m) / 2.0)
-    try:
-        nodes, vecs = eigh_tridiagonal(np.zeros(m), beta)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError("Jacobi matrix eigen-decomposition failed") from exc
-    weights = np.sqrt(np.pi) * vecs[0] ** 2
-    # symmetrize: nodes come out symmetric up to rounding
+    nodes = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+    weights = np.exp(-nodes * nodes)
+    live = weights > 0
+    t = nodes[live]
+    t -= wave_function(m, t) / (np.sqrt(2.0 * m) * wave_function(m - 1, t))
+    nodes[live] = t
+    weights[live] = np.exp(-t * t) / wave_function(m - 1, t) ** 2
+    weights *= np.sqrt(np.pi) / weights.sum()
+    # symmetrize: the rule is symmetric up to rounding
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(order=m, nodes=nodes, weights=weights)

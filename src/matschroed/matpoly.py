@@ -26,17 +26,29 @@ def _degree_norms(count):
     return np.exp(logs - logs[-1])
 
 
-def _trim(coeffs):
-    """Drop trailing degrees whose L^2 size is below TRIM_TOL times the largest.
+def degree_of(coeffs, rtol):
+    """Highest degree whose L^2 size exceeds rtol times the largest; 0 for an all-zero input.
 
     The size of degree j is max|C_j| times the L^2 norm of x^j e^{-x^2/2}, so
-    the tiny leading coefficients of high wave functions are kept.  An
-    all-zero input trims to degree 0.
+    the tiny leading coefficients of high wave functions count at full weight.
     """
     count = coeffs.shape[0]
     sizes = np.abs(coeffs).reshape(count, -1).max(axis=1) * _degree_norms(count)
-    keep = np.flatnonzero(sizes > TRIM_TOL * sizes.max())
-    return np.ascontiguousarray(coeffs[: keep[-1] + 1 if keep.size else 1])
+    keep = np.flatnonzero(sizes > rtol * sizes.max())
+    return int(keep[-1]) if keep.size else 0
+
+
+def _trim(coeffs):
+    """Drop trailing degrees whose L^2 size is below TRIM_TOL times the largest."""
+    return np.ascontiguousarray(coeffs[: degree_of(coeffs, TRIM_TOL) + 1])
+
+
+def poly_eval(p, xs):
+    """Matrix polynomial (ascending coeffs) at 1-d points xs -> (len(xs), N, N), by Horner's scheme."""
+    out = np.broadcast_to(p[-1], (xs.size,) + p.shape[1:]).copy()
+    for j in range(p.shape[0] - 2, -1, -1):
+        out = out * xs[:, None, None] + p[j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,14 +83,10 @@ class MatrixGaussian:
     # -- evaluation -------------------------------------------------------
 
     def poly_at(self, x):
-        """Polynomial part at x (scalar or 1-d array), by Horner's scheme."""
+        """Polynomial part at x (scalar or 1-d array)."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        out = np.broadcast_to(self.coeffs[-1], (xs.size,) + self.coeffs.shape[1:]).copy()
-        for j in range(self.degree - 1, -1, -1):
-            out = out * xs[:, None, None] + self.coeffs[j]
-        return out[0] if scalar else out
+        out = poly_eval(self.coeffs, np.atleast_1d(x))
+        return out[0] if x.ndim == 0 else out
 
     def __call__(self, x):
         """Value at x: polynomial part times e^{-x^2/2}."""

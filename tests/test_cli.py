@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,41 @@ def test_mg_json_roundtrip(tmp_path):
     data = mg_to_dict(f)
     assert data["N"] == 3 and data["degree"] == 5
     assert (mg_from_dict(data) - f).max_abs() == 0.0
+
+
+GOOD = {"N": 2, "degree": 1, "coeffs": [[[1.0, 0.0]] * 4, [[0.5, -0.5]] * 4]}
+
+
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        ({"degree": 2}, "'degree'"),  # more degrees than matrices
+        ({"coeffs": [[[1.0, 0.0]] * 4, [[0.5, -0.5]] * 3]}, "'coeffs'"),  # ragged matrices
+        ({"coeffs": [[[1.0, 0.0]] * 3, [[0.5, -0.5]] * 3]}, "'coeffs'"),  # fewer than N^2 entries
+        ({"coeffs": [[[1.0, 0.0]] * 4] * 3}, "'degree'"),  # more matrices than degree + 1
+        ({"coeffs": [[[float("nan"), 0.0]] * 4, [[0.5, -0.5]] * 4]}, "'coeffs'"),
+    ],
+    ids=["degree-too-large", "ragged", "short-matrix", "extra-matrix", "nan"],
+)
+def test_mg_from_dict_rejects_bad_input(tmp_path, capsys, patch, field):
+    assert mg_from_dict(GOOD).degree == 1
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({**GOOD, **patch}))
+    assert main(["transform", str(path), "--out", str(tmp_path / "o.json")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, matschroed.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_parse_grid():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matschroed.expansion import (
+    _gram_blocks,
     band_pattern,
     expand,
     inner_product,
@@ -9,6 +10,7 @@ from matschroed.expansion import (
     reconstruct,
 )
 from matschroed.families import FamilySpec, build_family, gamma_seq
+from matschroed.hermite import gauss_hermite
 from matschroed.matpoly import MatrixGaussian
 from matschroed.operators import transform_apply
 
@@ -209,10 +211,47 @@ def test_expand_rejects_out_of_span():
     big = build_family(spec, 12)
     small = build_family(spec, 4)
     f = big.phi_tilde[7]
-    with pytest.raises(ValueError):
-        expand(f, small)
+    for scale in (1.0, 1e-9, 1e-12):  # the span test is relative to the input's size
+        with pytest.raises(ValueError):
+            expand(f.scale(scale), small)
     exp = expand(f, small, project=True)
     assert np.max(np.abs(exp.coeffs)) < 1e-9  # orthogonal to the whole span
+
+
+def _pair_block(f, g, k=0):
+    """<x^k f, g> by one quadrature for the single pair, at that pair's own rule."""
+    rule = gauss_hermite((f.degree + g.degree + k) // 2 + 8)
+    t, w = rule.nodes, rule.weights
+    return np.einsum("i,iab,icb->ac", w * t**k, f.poly_at(t), np.conj(g.poly_at(t)))
+
+
+def test_batched_blocks_match_pairwise():
+    # one Gram product for all pairs, at the rule of the highest-degree pair,
+    # against one quadrature per pair
+    ctx = build_family(FamilySpec(2, 5, [0.8, -1.3, 1.1, 0.6]), 12)
+    phis = ctx.phi_tilde
+
+    def gap(got, ref):
+        return np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref)))
+
+    gram = _gram_blocks(phis, phis)
+    for n in range(13):
+        for m in range(13):
+            ref = _pair_block(phis[n], phis[m])
+            assert gap(gram[n, m], ref) < 1e-12, (n, m)
+            assert gap(inner_product(phis[n], phis[m]), ref) < 1e-12, (n, m)
+    for k in (1, 2):
+        blocks = band_pattern(ctx, k).blocks
+        for n in range(13):
+            for m in range(13):
+                ref = _pair_block(phis[n], phis[m], k) if abs(n - m) <= k else 0.0
+                assert gap(blocks[n, m], ref) < 1e-12, (k, n, m)
+                if abs(n - m) <= k:
+                    assert gap(matrix_element(ctx, k, n, m), ref) < 1e-12, (k, n, m)
+    f = phis[3].left_mul(np.arange(25.0).reshape(5, 5) / 10) + phis[9]
+    coeffs = expand(f, ctx).coeffs
+    for n in range(13):
+        assert gap(coeffs[n], _pair_block(f, phis[n])) < 1e-12, n
 
 
 def test_expand_size_mismatch(contexts):

@@ -117,6 +117,28 @@ def test_gauss_hermite_polynomial_exactness(p):
     assert abs(got - expected) < 1e-11 * max(1.0, abs(expected))
 
 
+def test_gauss_hermite_cached_read_only():
+    rule = gauss_hermite(12)
+    assert gauss_hermite(12) is rule
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
+
+
+def test_gauss_hermite_outer_weights():
+    # the m-point rule is exact through degree 2m - 1, so it must reproduce
+    # <psi_j, psi_k> = delta_jk for all j, k < m; the high-index pairs live on
+    # the small outer weights, which lose relative accuracy when taken from
+    # the squared eigenvector components (error 1.9e-6 at m = 40)
+    m = 40
+    rule = gauss_hermite(m)
+    t = rule.nodes
+    polys = np.array([wave_function(k, t) * np.exp(t ** 2 / 2) for k in range(m)])
+    gram = (polys * rule.weights) @ polys.T
+    assert np.max(np.abs(gram - np.eye(m))) < 1e-12
+
+
 def test_scalar_matrix_elements():
     # (x)_{nm} and (x^2)_{nm} for wave functions, via quadrature
     rule = gauss_hermite(40)
