@@ -31,7 +31,7 @@ for kind, nu1 in ((1, 1.0), (2, 0.5)):
         vals = ctx.phi_tilde[n](xs)
         dens = np.einsum("xab,xcb->xac", vals, np.conj(vals)).real
         d11, d22 = dens[:, 0, 0], dens[:, 1, 1]
-        # trapezoid integral as a sanity check; quadrature gives these to 1e-12
+        # trapezoid integral as a sanity check; the exact inner product gives these to 1e-12
         i11 = np.trapezoid(d11, xs)
         print(
             f"n={n}: density (1,1) integrates to {i11:.6f}, "

@@ -21,7 +21,7 @@ from .expansion import (
     matrix_element,
     reconstruct,
 )
-from .hermite import QuadratureRule, gauss_hermite, hermite_monic, hermite_phys, wave_function, wave_poly
+from .hermite import QuadratureRule, gauss_hermite, hermite_phys, wave_function, wave_poly
 from .matpoly import MatrixGaussian
 from .structmat import StructuredPair, build_structured, nilpotent_series, phase_diag, trig_diag
 
@@ -45,7 +45,6 @@ __all__ = [
     "closed_form_N2",
     "gamma_seq",
     "gauss_hermite",
-    "hermite_monic",
     "hermite_phys",
     "nilpotent_series",
     "phase_diag",

@@ -15,6 +15,7 @@ from .expansion import _gram_blocks, band_pattern, expand, reconstruct
 from .families import FamilySpec, build_family, closed_form_N2, gamma_seq
 from .matpoly import MatrixGaussian
 from .operators import (
+    POINTWISE_GRID,
     fourier_eigen_residual,
     quadrature_transform,
     real_integral_residual,
@@ -146,14 +147,19 @@ def cmd_check(args):
         max(tol, 1e-12),
     )
 
+    # residuals on the unnormalized Phi_n, relative to max(1, max |Phi_n|) at the points compared
+    def scale(n, xs):
+        return max(1.0, float(np.max(np.abs(ctx.phi[n](xs)))))
+
     worst_real, worst_imag = 0.0, 0.0
     for n in range(n_max + 1):
         variants = (
             [("even", 1), ("even", -1), ("odd", 1), ("odd", -1)] if spec.kind == 1 else [("even", 1)]
         )
+        size = scale(n, POINTWISE_GRID)
         for form, sign in variants:
             rep, mi = real_integral_residual(ctx, n, form, sign)
-            worst_real = max(worst_real, rep.max_coeff_norm)
+            worst_real = max(worst_real, rep.max_coeff_norm / size)
             worst_imag = max(worst_imag, mi)
     line("real_integral", worst_real, max(tol, 1e-8))
     line("real_integral_imag_part", worst_imag, max(tol, 1e-10))
@@ -164,12 +170,11 @@ def cmd_check(args):
     k = spec.kind
     rng = np.random.default_rng(get_seed())
     oracle = 0.0
+    xs = np.array([-3.0, -1.0, 0.0, 2.0])
     for n in (0, min(3, n_max), n_max):
         f = ctx.phi[n]
-        exact = transform_apply(f, k)
-        for x in (-3.0, -1.0, 0.0, 2.0):
-            q = quadrature_transform(f, k, x)
-            oracle = max(oracle, float(np.max(np.abs(q - exact(x)))))
+        gap = np.max(np.abs(quadrature_transform(f, k, xs) - transform_apply(f, k)(xs)))
+        oracle = max(oracle, float(gap) / scale(n, xs))
     line("quadrature_oracle_vs_exact", oracle, max(tol, 1e-8))
 
     if N == 2:

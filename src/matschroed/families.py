@@ -9,7 +9,9 @@ Phi-tilde_n is alpha[n, r, a] psi_m(x) with m = n + k(a - r), or zero when
 m < 0.  Each row of the table alpha is the null vector of the linear
 condition deg(Phi-tilde_n e^{x^2/2} R^{-1}) <= n, computed in the psi basis
 where multiplication by x is the ladder operator; the norms, Phi_n and P_n
-follow from the table in closed form.
+follow from the table in closed form.  Phi-tilde_n and Phi_n are stored as
+their psi-coefficients, the table placed at index m; only P_n is returned as
+monomial coefficients.
 """
 
 import json
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import wave_poly
-from .matpoly import MatrixGaussian, poly_eval
+from .matpoly import MatrixGaussian, poly_eval, poly_times
 from .structmat import StructuredPair, build_structured, nilpotent_series
 
 
@@ -69,20 +71,6 @@ def gamma_seq(spec, n_max):
     return 1.0 + 0.5 * nu1 ** 2 * (n * (n - 1) / 2.0)
 
 
-# -- matrix polynomial helpers (ascending coeffs, shape (d+1, N, N)) --------
-
-
-def poly_matmul(p, q):
-    """Product of two matrix polynomials (convolution with matrix products)."""
-    dp, dq = p.shape[0] - 1, q.shape[0] - 1
-    N = p.shape[1]
-    out = np.zeros((dp + dq + 1, N, N), dtype=np.result_type(p, q))
-    for a in range(dp + 1):
-        for b in range(dq + 1):
-            out[a + b] += p[a] @ q[b]
-    return out
-
-
 def right_factor_poly(pair: StructuredPair, kind, sign=1):
     """Matrix polynomial part of the weight factor R = e^{Ax} or e^{Bx^2}; sign=-1 gives R^{-1}."""
     N, A = pair.size, pair.A
@@ -125,69 +113,64 @@ class FamilyContext:
         return self.spec.size
 
 
-def _ladder(v):
-    """Multiplication by x on psi-coefficients along axis 0 (truncated at the top).
+def _table(spec, R_inv, alpha, n):
+    """The coefficient table alpha[n] of Phi-tilde_n, and the psi-coefficients of its P_n.
 
-    x psi_m = sqrt(m/2) psi_{m-1} + sqrt((m+1)/2) psi_{m+1}.
-    """
-    s = np.sqrt(np.arange(1, v.shape[0]) / 2.0)[:, None]
-    out = np.zeros_like(v)
-    out[:-1] += s * v[1:]
-    out[1:] += s * v[:-1]
-    return out
-
-
-def _table_row(spec, R_inv, alpha, n, r):
-    """Row r of the coefficient table of Phi-tilde_n, and the psi-coefficients of its P_n row.
-
-    Column a of the row is alpha_a psi_m with m = n + k(a - r) (k = kind).  The
-    row is the unit vector alpha with deg(row R^{-1}) <= n, i.e. no
+    Entry (r, a) of Phi-tilde_n is alpha[n, r, a] psi_m with m = n + k(a - r)
+    (k = kind).  Row r is the unit vector with deg(row R^{-1}) <= n, i.e. no
     psi-coefficient above n in any column of row R^{-1}, orthogonal to the
     rows already built with the same eigenvalue n + kJ_r; the sign makes the
-    psi_n coefficient of column r positive.  Returns alpha over all N columns
-    and the psi-coefficients 0..n of each column of row R^{-1}, shape (n+1, N).
+    psi_n coefficient of column r positive.  The rows of one n depend only on
+    earlier n, so one Horner product gives e_a psi_m R^{-1} for every entry,
+    on the window of psi indices it can reach.  Returns alpha[n] and the
+    psi-coefficients 0..n of Phi-tilde_n R^{-1}, shape (n+1, N, N).
     """
     N, k = spec.size, spec.kind
-    m = n + k * (np.arange(N) - r)
-    sup = np.flatnonzero(m >= 0)
-    top = n + k * (N - 1 - r)  # highest psi index of any column of row R^{-1}
-    # krylov[p][:, i] = x^p psi_{m[sup[i]]}; the truncation at `top` is exact
-    # for every power that R^{-1} pairs with that column
-    krylov = np.zeros((R_inv.shape[0], top + 1, sup.size))
-    krylov[0, m[sup], np.arange(sup.size)] = 1.0
-    for p in range(1, krylov.shape[0]):
-        krylov[p] = _ladder(krylov[p - 1])
-    cols = np.einsum("pja,pab->bja", krylov, R_inv[:, sup, :])  # column b of psi_{m_a} e_a R^{-1}
-    same = [alpha[n - k * (r - q), q, sup] for q in range(r) if n - k * (r - q) >= 0]
-    rows = np.vstack([cols[:, n + 1 :, :].reshape(-1, sup.size)] + same)
-    _, s, vh = np.linalg.svd(rows)
-    s = np.pad(s, (0, sup.size - s.size))  # zero singular values of a wide or empty matrix
-    tol = s[0] * max(rows.shape) * np.finfo(float).eps
-    null_dim = int(np.count_nonzero(s <= tol))
-    where = f"kind {spec.kind}, N={N}, nu={spec.nu}, n={n}, row {r}"
-    if null_dim != 1:
-        raise ConsistencyError(
-            f"{where}: degree condition leaves a {null_dim}-dimensional solution space, expected 1 "
-            f"(singular values {s})"
-        )
-    v = vh[-1]
-    psi = np.einsum("bja,a->jb", cols[:, : n + 1, :], v)
-    if psi[n, r] == 0.0:
-        raise ConsistencyError(f"{where}: psi_{n} coefficient of the diagonal entry vanishes")
-    sign = np.sign(psi[n, r])
-    row = np.zeros(N)
-    row[sup] = sign * v
-    return row, sign * psi
+    m = n + k * (np.arange(N)[None, :] - np.arange(N)[:, None])
+    rows_of, cols_of = np.nonzero(m >= 0)
+    lo = max(0, n - k * (N - 1) - (R_inv.shape[0] - 1))  # lowest index any product reaches
+    units = np.zeros((m.max() + 1 - lo, rows_of.size, N))
+    units[m[rows_of, cols_of] - lo, np.arange(rows_of.size), cols_of] = 1.0
+    # prod[j - lo, i, b]: psi_j coefficient of column b of unit i times R^{-1}
+    prod = poly_times(units, R_inv, start=lo)
+    table, psi = np.zeros((N, N)), np.zeros((n + 1, N, N))
+    for r in range(N):
+        own = np.flatnonzero(rows_of == r)
+        sup = cols_of[own]
+        top = n + k * (N - 1 - r)  # highest psi index of any column of row R^{-1}
+        high = prod[n + 1 - lo : top + 1 - lo, own, :].transpose(0, 2, 1).reshape(-1, sup.size)
+        same = [alpha[n - k * (r - q), q, sup] for q in range(r) if n - k * (r - q) >= 0]
+        rows = np.vstack([high] + same)
+        _, s, vh = np.linalg.svd(rows)
+        s = np.pad(s, (0, sup.size - s.size))  # zero singular values of a wide or empty matrix
+        tol = s[0] * max(rows.shape) * np.finfo(float).eps
+        null_dim = int(np.count_nonzero(s <= tol))
+        where = f"kind {spec.kind}, N={N}, nu={spec.nu}, n={n}, row {r}"
+        if null_dim != 1:
+            raise ConsistencyError(
+                f"{where}: degree condition leaves a {null_dim}-dimensional solution space, expected 1 "
+                f"(singular values {s})"
+            )
+        v = vh[-1]
+        row_psi = np.zeros((n + 1, N))
+        row_psi[lo:] = np.einsum("jib,i->jb", prod[: n + 1 - lo, own, :], v)
+        if row_psi[n, r] == 0.0:
+            raise ConsistencyError(f"{where}: psi_{n} coefficient of the diagonal entry vanishes")
+        sign = np.sign(row_psi[n, r])
+        table[r, sup] = sign * v
+        psi[:, r, :] = sign * row_psi
+    return table, psi
 
 
 def build_family(spec, n_max):
     """Construct the orthonormal functions, their norms and polynomials up to n_max.
 
-    Each Phi-tilde_n is built from its table of wave-function coefficients
-    (see `_table_row`).  With c_r the psi_n coefficient of column r of row r
-    of Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)),
+    Each Phi-tilde_n is stored as its table of wave-function coefficients
+    (see `_table`).  With c_r the psi_n coefficient of column r of row r of
+    Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)),
     Phi_n = ||P_n|| Phi-tilde_n and P_n is the polynomial part of
-    Phi_n R^{-1} e^{x^2/2}, whose leading coefficient has unit diagonal.
+    Phi_n R^{-1} e^{x^2/2}, whose leading coefficient has unit diagonal; P_n
+    alone is returned as monomial coefficients.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -195,25 +178,23 @@ def build_family(spec, n_max):
     N, k = spec.size, spec.kind
     R = right_factor_poly(pair, k)
     R_inv = right_factor_poly(pair, k, sign=-1)
-    top = n_max + k * (N - 1)
-    waves = np.zeros((top + 1, top + 1))  # column m: monomial coefficients of psi_m
-    for j in range(top + 1):
+    waves = np.zeros((n_max + 1, n_max + 1))  # column m: monomial coefficients of psi_m
+    for j in range(n_max + 1):
         waves[: j + 1, j] = wave_poly(j)
 
     alpha = np.zeros((n_max + 1, N, N))
     pn, norms, phi, phi_tilde = [], [], [], []
     for n in range(n_max + 1):
-        psi = np.zeros((n + 1, N, N))
-        for r in range(N):
-            alpha[n, r], psi[:, r, :] = _table_row(spec, R_inv, alpha, n, r)
+        alpha[n], psi = _table(spec, R_inv, alpha, n)
         lead = np.diagonal(psi[n])
         log_scale = math.lgamma(n + 1) - n * math.log(2.0) + 0.5 * math.log(math.pi)
-        norm = np.exp(log_scale - 2.0 * np.log(lead))
-        norms.append(np.diag(norm))
-        m = n + k * (np.arange(N)[None, :] - np.arange(N)[:, None])
-        coeffs = waves[: n + k * (N - 1) + 1, np.maximum(m, 0)] * alpha[n]
+        log_norm = log_scale - 2.0 * np.log(lead)  # ||P_n||^2 leaves the double range near n = 190
+        norms.append(np.diag(np.exp(log_norm)))
+        rows, cols = np.indices((N, N))
+        coeffs = np.zeros((n + k * (N - 1) + 1, N, N))
+        coeffs[np.maximum(n + k * (cols - rows), 0), rows, cols] = alpha[n]  # alpha is 0 where m < 0
         phi_tilde.append(MatrixGaussian(coeffs))
-        root = np.sqrt(norm)
+        root = np.exp(0.5 * log_norm)
         phi.append(phi_tilde[-1].left_mul(np.diag(root)))
         pn.append(np.einsum("dj,jab->dab", waves[: n + 1, : n + 1], root[:, None] * psi))
 
@@ -230,30 +211,27 @@ def build_family(spec, n_max):
 
 
 def closed_form_N2(spec, n):
-    """The explicit normalized Phi-tilde_n for N = 2, assembled from wave functions."""
+    """The explicit normalized Phi-tilde_n for N = 2: each entry is a multiple of one wave function."""
     if spec.size != 2:
         raise ValueError("closed forms are available for N = 2 only")
     nu1 = spec.nu[0]
-    gseq = gamma_seq(spec, n + 3)
-
-    def entry(idx, coeff):
-        if coeff == 0.0 or idx < 0:
-            return np.zeros(1)
-        return coeff * wave_poly(idx)
-
+    g = gamma_seq(spec, n + 3)
     if spec.kind == 1:
-        e11 = entry(n, 1.0 / np.sqrt(gseq[n + 1]))
-        e12 = entry(n + 1, nu1 * np.sqrt((n + 1) / (2.0 * gseq[n + 1])))
-        e21 = entry(n - 1, -nu1 * np.sqrt(n / (2.0 * gseq[n]))) if n >= 1 else np.zeros(1)
-        e22 = entry(n, 1.0 / np.sqrt(gseq[n]))
-        deg = n + 1
+        entries = {
+            (0, 0): (n, 1.0 / np.sqrt(g[n + 1])),
+            (0, 1): (n + 1, nu1 * np.sqrt((n + 1) / (2.0 * g[n + 1]))),
+            (1, 0): (n - 1, -nu1 * np.sqrt(n / (2.0 * g[n]))),
+            (1, 1): (n, 1.0 / np.sqrt(g[n])),
+        }
     else:
-        e11 = entry(n, 1.0 / np.sqrt(gseq[n + 2]))
-        e12 = entry(n + 2, 0.5 * nu1 * np.sqrt((n + 1) * (n + 2) / gseq[n + 2]))
-        e21 = entry(n - 2, -0.5 * nu1 * np.sqrt(n * (n - 1) / gseq[n])) if n >= 2 else np.zeros(1)
-        e22 = entry(n, 1.0 / np.sqrt(gseq[n]))
-        deg = n + 2
-    coeffs = np.zeros((deg + 1, 2, 2), dtype=complex)
-    for (i, j), e in (((0, 0), e11), ((0, 1), e12), ((1, 0), e21), ((1, 1), e22)):
-        coeffs[: len(e), i, j] = e
+        entries = {
+            (0, 0): (n, 1.0 / np.sqrt(g[n + 2])),
+            (0, 1): (n + 2, 0.5 * nu1 * np.sqrt((n + 1) * (n + 2) / g[n + 2])),
+            (1, 0): (n - 2, -0.5 * nu1 * np.sqrt(n * (n - 1) / g[n])),
+            (1, 1): (n, 1.0 / np.sqrt(g[n])),
+        }
+    coeffs = np.zeros((n + spec.kind + 1, 2, 2))
+    for (i, j), (m, c) in entries.items():
+        if m >= 0:
+            coeffs[m, i, j] = c
     return MatrixGaussian(coeffs)

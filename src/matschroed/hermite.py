@@ -1,8 +1,7 @@
 """Scalar Hermite polynomials, wave functions and Gauss-Hermite quadrature.
 
-Conventions: H_n are the physicists' polynomials (H_{n+1} = 2x H_n - 2n H_{n-1}),
-hat-H_n the monic ones (hH_{n+1} = x hH_n - n hH_{n-1}), and
-psi_n(x) = (2^n n! sqrt(pi))^{-1/2} e^{-x^2/2} H_n(x) the normalized wave
+Conventions: H_n are the physicists' polynomials (H_{n+1} = 2x H_n - 2n H_{n-1})
+and psi_n(x) = (2^n n! sqrt(pi))^{-1/2} e^{-x^2/2} H_n(x) the normalized wave
 functions.  The quadrature rule integrates against the weight e^{-x^2} on R;
 it needs numpy only, is computed once per order and is shared read-only.
 """
@@ -22,22 +21,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def hermite_monic(n):
-    """Monomial coefficients (ascending) of the monic Hermite polynomial."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if n == 0:
-        return np.array([1.0])
-    prev = np.array([1.0])
-    cur = np.array([0.0, 1.0])
-    for k in range(1, n):
-        nxt = np.zeros(k + 2)
-        nxt[1:] = cur
-        nxt[: k] -= k * prev
-        prev, cur = cur, nxt
-    return cur
-
-
 def hermite_phys(n):
     """Monomial coefficients (ascending) of the physicists' Hermite polynomial."""
     if n == 0:
@@ -52,20 +35,28 @@ def hermite_phys(n):
     return cur
 
 
-def wave_function(n, x):
-    """psi_n(x), evaluated by the normalized three-term recurrence.
+def wave_functions(n, x, envelope=True):
+    """psi_0..psi_n at the 1-d points x, shape (n+1, len(x)), by the normalized three-term recurrence.
 
     psi_{k+1} = x sqrt(2/(k+1)) psi_k - sqrt(k/(k+1)) psi_{k-1}; no factorials,
-    stable for large n.
+    stable for large n.  With envelope=False the factor e^{-x^2/2} is left
+    out, which gives the orthonormal Hermite polynomials.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
+    out = np.empty((n + 1, x.size))
+    out[0] = np.pi ** -0.25 * (np.exp(-x * x / 2.0) if envelope else 1.0)
+    if n >= 1:
+        out[1] = np.sqrt(2.0) * x * out[0]
+    for k in range(1, n):
+        out[k + 1] = x * np.sqrt(2.0 / (k + 1)) * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
+    return out
+
+
+def wave_function(n, x):
+    """psi_n(x) for scalar or array x; see `wave_functions`."""
     x = np.asarray(x, dtype=float)
-    psi_prev = np.zeros_like(x)
-    psi = np.pi ** -0.25 * np.exp(-x * x / 2.0)
-    for k in range(n):
-        psi_prev, psi = psi, x * np.sqrt(2.0 / (k + 1)) * psi - np.sqrt(k / (k + 1.0)) * psi_prev
-    return psi
+    return wave_functions(n, x.ravel())[n].reshape(x.shape)
 
 
 def wave_poly(n):

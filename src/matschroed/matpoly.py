@@ -1,59 +1,83 @@
-"""Exact algebra on (matrix polynomial) x Gaussian objects.
+"""Exact algebra on matrix-valued functions in the Hermite-function basis.
 
-A MatrixGaussian represents f(x) = (sum_j C_j x^j) e^{-x^2/2} with complex
-N x N coefficients C_j.  Addition, products with constant matrices or scalar
-polynomials, differentiation and the Fourier transform are all closed on this
-class and computed at coefficient level, so identities can be checked by
-comparing coefficients instead of sampling.
+A MatrixGaussian represents f(x) = sum_m C_m psi_m(x), with psi_m the
+normalized Hermite wave functions and complex N x N coefficients C_m.  Every
+operation is a simple map on the coefficients: the Fourier transform is the
+phase (+-i)^m, the reflection x -> -x the sign (-1)^m, and multiplication by
+x and d/dx are the ladder operators, so identities can be checked by
+comparing coefficients instead of sampling.  The psi_m are orthonormal, so
+|C_m| is the L^2 size of its term and inner products are coefficient sums.
 """
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .hermite import hermite_monic
+from .hermite import wave_functions
+from .structmat import _I_POW
 
 TRIM_TOL = 1e-14
-FOURIER_DEGREE_CAP = 64
-
-
-@lru_cache(maxsize=None)
-def _degree_norms(count):
-    """sqrt(Gamma(j + 1/2)) / sqrt(Gamma(count - 1/2)) for j < count: relative L^2 norms of x^j e^{-x^2/2}."""
-    logs = np.array([0.5 * math.lgamma(j + 0.5) for j in range(count)])
-    return np.exp(logs - logs[-1])
+# Largest real product (multiply-adds) in evaluation.  BLAS runs larger ones on
+# two threads, whose hand-off costs more than the product at these sizes (801 x
+# 29 x 50: 414 us against 50 us on one thread, 2-core x86 host, OpenBLAS 0.3.31)
+# and stalls whenever the other core is busy.
+PRODUCT_BUDGET = 10**6
 
 
 def degree_of(coeffs, rtol):
-    """Highest degree whose L^2 size exceeds rtol times the largest; 0 for an all-zero input.
-
-    The size of degree j is max|C_j| times the L^2 norm of x^j e^{-x^2/2}, so
-    the tiny leading coefficients of high wave functions count at full weight.
-    """
-    count = coeffs.shape[0]
-    sizes = np.abs(coeffs).reshape(count, -1).max(axis=1) * _degree_norms(count)
+    """Highest index whose coefficient exceeds rtol times the largest one in size; 0 for an all-zero input."""
+    sizes = np.abs(coeffs).reshape(coeffs.shape[0], -1).max(axis=1)
     keep = np.flatnonzero(sizes > rtol * sizes.max())
     return int(keep[-1]) if keep.size else 0
 
 
 def _trim(coeffs):
-    """Drop trailing degrees whose L^2 size is below TRIM_TOL times the largest."""
+    """Drop trailing indices whose coefficients are below TRIM_TOL times the largest."""
     return np.ascontiguousarray(coeffs[: degree_of(coeffs, TRIM_TOL) + 1])
 
 
 def poly_eval(p, xs):
-    """Matrix polynomial (ascending coeffs) at 1-d points xs -> (len(xs), N, N), by Horner's scheme."""
+    """Matrix polynomial (ascending monomial coeffs) at 1-d points xs -> (len(xs), N, N), by Horner's scheme."""
     out = np.broadcast_to(p[-1], (xs.size,) + p.shape[1:]).copy()
     for j in range(p.shape[0] - 2, -1, -1):
         out = out * xs[:, None, None] + p[j]
     return out
 
 
+def ladder(v, sign=1, start=0):
+    """Multiplication by x (sign=1) or d/dx (sign=-1) on psi-coefficients along axis 0.
+
+    x psi_m = sqrt(m/2) psi_{m-1} + sqrt((m+1)/2) psi_{m+1}; d/dx flips the
+    sign of the second term.  v[i] is the coefficient of psi_{start+i}; the
+    result has the same start and one more index, and drops the term lowered
+    below psi_start (none when start = 0).
+    """
+    s = np.sqrt(np.arange(start + 1, start + v.shape[0] + 1) / 2.0).reshape((-1,) + (1,) * (v.ndim - 1))
+    out = np.zeros((v.shape[0] + 1,) + v.shape[1:], dtype=v.dtype)
+    out[:-2] = s[:-1] * v[1:]
+    out[1:] += sign * s * v
+    return out
+
+
+def poly_times(c, P, start=0):
+    """psi-coefficients of f(x) P(x), by Horner's scheme in the ladder operator.
+
+    c holds the psi-coefficients of f along axis 0 (each a matrix with N
+    columns), c[i] that of psi_{start+i}; P holds the monomial coefficients
+    of a matrix polynomial (degree+1, N, N'), multiplied on the right.  The
+    product is exact when the lowest nonzero index of c is at least
+    start + degree, which always holds for start = 0.
+    """
+    out = c @ P[-1]
+    for j in range(P.shape[0] - 2, -1, -1):
+        out = ladder(out, start=start)
+        out[: c.shape[0]] += c @ P[j]
+    return out
+
+
 @dataclass(frozen=True)
 class MatrixGaussian:
-    """f(x) = (sum_j coeffs[j] x^j) e^{-x^2/2}, coeffs[j] complex N x N."""
+    """f(x) = sum_m coeffs[m] psi_m(x), coeffs[m] complex N x N."""
 
     coeffs: np.ndarray = field(repr=False)
 
@@ -69,12 +93,15 @@ class MatrixGaussian:
 
     @property
     def degree(self):
+        """Highest psi index, which is also the degree of the polynomial part."""
         return self.coeffs.shape[0] - 1
 
     @classmethod
     def from_poly(cls, poly):
-        """Wrap an array of monomial matrix coefficients (degree+1, N, N)."""
-        return cls(np.asarray(poly, dtype=complex))
+        """The function P(x) e^{-x^2/2} for monomial matrix coefficients P, shape (degree+1, N, N)."""
+        poly = np.asarray(poly, dtype=complex)
+        gaussian = np.pi**0.25 * np.eye(poly.shape[1])[None]  # e^{-x^2/2} = pi^{1/4} psi_0
+        return cls(poly_times(gaussian, poly))
 
     @classmethod
     def zero(cls, N):
@@ -82,18 +109,25 @@ class MatrixGaussian:
 
     # -- evaluation -------------------------------------------------------
 
-    def poly_at(self, x):
-        """Polynomial part at x (scalar or 1-d array)."""
+    def _at(self, x, envelope):
         x = np.asarray(x, dtype=float)
-        out = poly_eval(self.coeffs, np.atleast_1d(x))
+        psi = wave_functions(self.degree, np.atleast_1d(x), envelope)
+        # real product on the interleaved (re, im) view: no complex copy of the psi table
+        flat = self.coeffs.reshape(psi.shape[0], -1).view(float)
+        out = np.empty((psi.shape[1], flat.shape[1]))
+        step = max(1, PRODUCT_BUDGET // flat.size)  # points per product
+        for s in range(0, psi.shape[1], step):
+            np.matmul(psi[:, s : s + step].T, flat, out=out[s : s + step])
+        out = out.view(complex).reshape((-1,) + self.coeffs.shape[1:])
         return out[0] if x.ndim == 0 else out
 
+    def poly_at(self, x):
+        """Polynomial part f(x) e^{x^2/2} at x (scalar or 1-d array)."""
+        return self._at(x, envelope=False)
+
     def __call__(self, x):
-        """Value at x: polynomial part times e^{-x^2/2}."""
-        x = np.asarray(x, dtype=float)
-        env = np.exp(-x * x / 2.0)
-        p = self.poly_at(x)
-        return p * env if x.ndim == 0 else p * env[:, None, None]
+        """Value at x (scalar or 1-d array); the psi_m recurrence keeps it finite at any x."""
+        return self._at(x, envelope=True)
 
     # -- algebra ----------------------------------------------------------
 
@@ -125,31 +159,21 @@ class MatrixGaussian:
 
     def poly_mul(self, p):
         """Multiply by a scalar polynomial with monomial coefficients p."""
-        p = np.asarray(p, dtype=complex)
-        d = self.degree + len(p) - 1
-        c = np.zeros((d + 1, self.size, self.size), dtype=complex)
-        for k, pk in enumerate(p):
-            if pk != 0:
-                c[k : k + self.degree + 1] += pk * self.coeffs
-        return MatrixGaussian(c)
+        P = np.multiply.outer(np.asarray(p, dtype=complex), np.eye(self.size))
+        return MatrixGaussian(poly_times(self.coeffs, P))
 
     def reflect(self):
-        """x -> f(-x), exact coefficient sign flips."""
+        """x -> f(-x): psi_m has parity (-1)^m."""
         signs = (-1.0) ** np.arange(self.degree + 1)
         return MatrixGaussian(signs[:, None, None] * self.coeffs)
 
     def conj_transpose(self):
-        """x -> f(x)^*, entrywise conjugate transpose of each coefficient."""
+        """x -> f(x)^*, entrywise conjugate transpose of each coefficient (the psi_m are real)."""
         return MatrixGaussian(np.conj(np.swapaxes(self.coeffs, 1, 2)))
 
     def differentiate(self):
-        """Exact derivative: coefficient polynomial P maps to P' - x P."""
-        d = self.degree
-        c = np.zeros((d + 2, self.size, self.size), dtype=complex)
-        for j in range(1, d + 1):
-            c[j - 1] += j * self.coeffs[j]
-        c[1:] -= self.coeffs
-        return MatrixGaussian(c)
+        """Exact derivative, by the ladder operator."""
+        return MatrixGaussian(ladder(self.coeffs, sign=-1))
 
     def max_abs(self):
         return float(np.max(np.abs(self.coeffs)))
@@ -157,27 +181,9 @@ class MatrixGaussian:
     def fourier(self, direction=1):
         """Unitary Fourier transform f -> (1/sqrt(2pi)) int f(t) e^{+-ixt} dt.
 
-        Exact on this class: the monomial Gaussian t^j e^{-t^2/2} maps to
-        (+-i)^j hat-H_j(x) e^{-x^2/2}, so the transform is a fixed linear map
-        on the coefficient polynomial.
+        Exact on this class: psi_m is an eigenfunction with eigenvalue (+-i)^m.
         """
         if direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
-        d = self.degree
-        if d > FOURIER_DEGREE_CAP:
-            raise ValueError(f"degree {d} exceeds transform cap {FOURIER_DEGREE_CAP}")
-        M = monic_hermite_matrix(d)
-        unit = 1j if direction == 1 else -1j
-        phases = unit ** np.arange(d + 1)
-        scaled = phases[:, None, None] * self.coeffs
-        out = np.einsum("ij,jab->iab", M, scaled)
-        return MatrixGaussian(out)
-
-
-@lru_cache(maxsize=None)
-def monic_hermite_matrix(d):
-    """(d+1) x (d+1) matrix whose column k holds the monomial coefficients of hat-H_k."""
-    M = np.zeros((d + 1, d + 1))
-    for k in range(d + 1):
-        M[: k + 1, k] = hermite_monic(k)
-    return M
+        phases = _I_POW[(direction * np.arange(self.degree + 1)) % 4]
+        return MatrixGaussian(phases[:, None, None] * self.coeffs)

@@ -103,6 +103,12 @@ def test_check_passes(capsys, family_args):
     assert out.count("PASS") >= 8
 
 
+def test_check_scales_unnormalized_lines():
+    # Phi_10 of this family reaches ~8e3 on [-3, 3]; the real-integral and
+    # oracle lines are relative to max(1, max |Phi_n|) at their points
+    assert main(["check", "--kind", "2", "--N", "5", "--nu=-1.8,1.2,-1.6,0.9", "--nmax", "10"]) == 0
+
+
 def test_check_spec_json_inline(capsys):
     spec = json.dumps({"kind": 1, "N": 2, "nu": [0.5]})
     assert main(["check", "--spec", spec, "--nmax", "4"]) == 0

@@ -177,6 +177,24 @@ def test_orthonormality_at_the_frontier(kind, N, n_max):
     assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-6
 
 
+@pytest.mark.parametrize("kind", [1, 2])
+def test_orthonormality_at_n_max_200(kind):
+    # the last 21 functions against all 201, by point values on a uniform grid
+    # (trapezoidal rule) over [-30, 30]; the highest index present, psi_214,
+    # turns at sqrt(429) ~ 20.7.  Summed in chunks of x to bound the memory.
+    N, n_max = 8, 200
+    ctx = build_family(FamilySpec(kind, N, [0.8] * (N - 1)), n_max)
+    h = 0.05
+    xs = h * np.arange(-600, 601)
+    G = 0.0
+    for lo in range(0, xs.size, 300):
+        vals = np.stack([f(xs[lo : lo + 300]) for f in ctx.phi_tilde])  # (n, x, a, c)
+        assert not vals.imag.any()  # real functions; the Gram below is real
+        M = vals.real.transpose(0, 2, 1, 3).reshape((n_max + 1) * N, -1)
+        G = G + h * M[-21 * N :] @ M.T
+    assert np.max(np.abs(G - np.eye((n_max + 1) * N)[-21 * N :])) <= 1e-12
+
+
 def test_consistency_error_names_spec_and_index():
     # with nu this large the small entries of the degree condition fall below
     # the rounding of its large ones, so its numerical null space is 2-dimensional

@@ -2,41 +2,13 @@ import math
 
 import numpy as np
 import pytest
-import sympy
 
 from matschroed.hermite import (
     gauss_hermite,
-    hermite_monic,
     hermite_phys,
     wave_function,
     wave_poly,
 )
-
-
-def test_monic_base_cases():
-    np.testing.assert_array_equal(hermite_monic(0), [1.0])
-    np.testing.assert_array_equal(hermite_monic(1), [0.0, 1.0])
-    np.testing.assert_array_equal(hermite_monic(2), [-1.0, 0.0, 1.0])
-
-
-def test_monic_rodrigues_degree_6():
-    # (-1)^6 e^{x^2/2} (e^{-x^2/2})^{(6)}, sampled
-    x = sympy.symbols("x")
-    expr = sympy.exp(x ** 2 / 2) * sympy.diff(sympy.exp(-x ** 2 / 2), x, 6)
-    c = hermite_monic(6)
-    for xv in np.linspace(-3, 3, 20):
-        expected = float(expr.subs(x, xv))
-        got = sum(c[j] * xv ** j for j in range(7))
-        assert abs(got - expected) < 1e-10 * max(1.0, abs(expected))
-
-
-def test_monic_recurrence():
-    for n in range(1, 12):
-        prev, cur, nxt = hermite_monic(n - 1), hermite_monic(n), hermite_monic(n + 1)
-        rhs = np.zeros(n + 2)
-        rhs[1:] = cur
-        rhs[: n] -= n * prev
-        np.testing.assert_allclose(nxt, rhs, atol=1e-12)
 
 
 def test_phys_recurrence_pointwise():
@@ -167,7 +139,5 @@ def test_scalar_matrix_elements():
 def test_input_validation():
     with pytest.raises(ValueError):
         gauss_hermite(0)
-    with pytest.raises(ValueError):
-        hermite_monic(-1)
     with pytest.raises(ValueError):
         wave_function(-2, 0.0)
