@@ -59,24 +59,27 @@ def wave_function(n, x):
     return wave_functions(n, x.ravel())[n].reshape(x.shape)
 
 
-def wave_poly(n):
-    """Monomial coefficients of the polynomial part of psi_n.
+def wave_polys(n):
+    """Monomial coefficients of the polynomial parts of psi_0..psi_n, shape (n+1, n+1).
 
-    psi_n(x) = (sum_j c_j x^j) e^{-x^2/2}; computed by the same normalized
-    recurrence on coefficient vectors.
+    Column j holds psi_j: psi_j(x) = (sum_i W[i, j] x^i) e^{-x^2/2}; computed
+    by the normalized recurrence of `wave_functions` on coefficient vectors.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    prev = np.array([np.pi ** -0.25])
-    if n == 0:
-        return prev
-    cur = np.array([0.0, np.sqrt(2.0) * np.pi ** -0.25])
+    out = np.zeros((n + 1, n + 1))
+    out[0, 0] = np.pi ** -0.25
+    if n >= 1:
+        out[1, 1] = np.sqrt(2.0) * np.pi ** -0.25
     for k in range(1, n):
-        nxt = np.zeros(k + 2)
-        nxt[1:] = np.sqrt(2.0 / (k + 1)) * cur
-        nxt[: k] -= np.sqrt(k / (k + 1.0)) * prev
-        prev, cur = cur, nxt
-    return cur
+        out[1 : k + 2, k + 1] = np.sqrt(2.0 / (k + 1)) * out[: k + 1, k]
+        out[:k, k + 1] -= np.sqrt(k / (k + 1.0)) * out[:k, k - 1]
+    return out
+
+
+def wave_poly(n):
+    """Monomial coefficients of the polynomial part of psi_n; see `wave_polys`."""
+    return wave_polys(n)[:, n]
 
 
 @lru_cache(maxsize=None)

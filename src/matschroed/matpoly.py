@@ -44,33 +44,29 @@ def poly_eval(p, xs):
     return out
 
 
-def ladder(v, sign=1, start=0):
+def ladder(v, sign=1):
     """Multiplication by x (sign=1) or d/dx (sign=-1) on psi-coefficients along axis 0.
 
     x psi_m = sqrt(m/2) psi_{m-1} + sqrt((m+1)/2) psi_{m+1}; d/dx flips the
-    sign of the second term.  v[i] is the coefficient of psi_{start+i}; the
-    result has the same start and one more index, and drops the term lowered
-    below psi_start (none when start = 0).
+    sign of the second term.  The result has one more index.
     """
-    s = np.sqrt(np.arange(start + 1, start + v.shape[0] + 1) / 2.0).reshape((-1,) + (1,) * (v.ndim - 1))
+    s = np.sqrt(np.arange(1, v.shape[0] + 1) / 2.0).reshape((-1,) + (1,) * (v.ndim - 1))
     out = np.zeros((v.shape[0] + 1,) + v.shape[1:], dtype=v.dtype)
     out[:-2] = s[:-1] * v[1:]
     out[1:] += sign * s * v
     return out
 
 
-def poly_times(c, P, start=0):
+def poly_times(c, P):
     """psi-coefficients of f(x) P(x), by Horner's scheme in the ladder operator.
 
     c holds the psi-coefficients of f along axis 0 (each a matrix with N
-    columns), c[i] that of psi_{start+i}; P holds the monomial coefficients
-    of a matrix polynomial (degree+1, N, N'), multiplied on the right.  The
-    product is exact when the lowest nonzero index of c is at least
-    start + degree, which always holds for start = 0.
+    columns); P holds the monomial coefficients of a matrix polynomial
+    (degree+1, N, N'), multiplied on the right.
     """
     out = c @ P[-1]
     for j in range(P.shape[0] - 2, -1, -1):
-        out = ladder(out, start=start)
+        out = ladder(out)
         out[: c.shape[0]] += c @ P[j]
     return out
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,33 @@ def test_consistency_error_names_spec_and_index():
     # the rounding of its large ones, so its numerical null space is 2-dimensional
     with pytest.raises(ConsistencyError, match=r"kind 1, N=3, nu=\(100000000\.0, 100000000\.0\), n=0, row 0"):
         build_family(FamilySpec(1, 3, [1e8, 1e8]), 0)
+    # the first failure in n order: row 1 fails at n=4, before row 0 fails at n=6
+    with pytest.raises(ConsistencyError, match=r"kind 2, N=8, nu=\(30\.0(, 30\.0){6}\), n=4, row 1:"):
+        build_family(FamilySpec(2, 8, (30.0,) * 7), 10)
+
+
+def test_log_norms_finite_where_norms_overflow():
+    # ||P_n||^2 = n! sqrt(pi) / (2^n c_r^2) leaves the double range near n = 190
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = build_family(FamilySpec(2, 8, [0.8] * 7), 200)
+    assert ctx.log_norms.shape == (201, 8)
+    assert np.all(np.isfinite(ctx.log_norms))
+    big = ctx.log_norms[200] > math.log(np.finfo(float).max)  # rows 0-4 here
+    assert big.any()
+    assert np.array_equal(np.isinf(np.diag(ctx.norms[200])), big)
+    np.testing.assert_allclose(np.diag(ctx.norms[100]), np.exp(ctx.log_norms[100]), rtol=1e-14)
+
+
+def test_null_margin_flags_the_barely_determined_rows():
+    # second-smallest over largest singular value of each row's degree condition
+    near = build_family(FamilySpec(2, 8, [10.0] * 7), 16)  # the last n_max that builds at nu = 10
+    assert near.null_margin.shape == (17, 8)
+    assert near.null_margin.min() < 1e-12
+    safe = build_family(FamilySpec(2, 8, [0.8] * 7), 20)
+    assert safe.null_margin.min() > 1e-9
+    assert np.all(safe.null_margin <= 1.0)
+    assert np.all(build_family(FamilySpec(1, 1, []), 3).null_margin == 1.0)  # one unknown per row
 
 
 def test_build_family_scalar_reduces_to_hermite():
