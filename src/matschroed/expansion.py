@@ -5,16 +5,18 @@ Functions are stored as psi-coefficients, so by Parseval every inner
 product is a sum of coefficient products and multiplication by x^k is k
 steps of the ladder operator; no quadrature is involved.  Only the weighted
 inner product of monomial matrix polynomials uses a Gauss-Hermite rule.
+Expansion, reconstruction and band matrices read the family's table alpha
+directly: entry (r, a) of Phi-tilde_n is alpha[n, r, a] psi_{n+k(a-r)}, so
+each is one gather or scatter over alpha, with no Phi-tilde_n built.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .families import FamilyContext, FamilySpec, build_structured, right_factor_poly
 from .hermite import gauss_hermite
-from .matpoly import MatrixGaussian, degree_of, ladder, poly_eval, poly_times
+from .matpoly import MatrixGaussian, degree_of, ladder, ladder_band, poly_eval, poly_times
 
 # size, relative to the largest, below which a psi-coefficient of F R^{-1} counts as zero
 SPAN_RTOL = 1e-10
@@ -28,7 +30,7 @@ def _rows(hs, length, k=0):
         out[: h.degree + 1, i] = h.coeffs
     for _ in range(k):
         out = ladder(out)
-    return out.transpose(1, 2, 0, 3).reshape(len(hs), N, length * N)
+    return np.ascontiguousarray(out.transpose(1, 2, 0, 3).reshape(len(hs), N, length * N))  # a strided view at N = 1
 
 
 def _conj_product(X, Y):
@@ -40,6 +42,12 @@ def _conj_product(X, Y):
     """
     P = X.view(float) @ np.concatenate([Y, 1j * Y]).view(float).T
     return P[:, : Y.shape[0]] + 1j * P[:, Y.shape[0] :]
+
+
+def _support(ctx, n_max):
+    """psi index n + k(a - r) of entry (r, a) of Phi-tilde_n, shape (n_max+1, N, N); alpha is 0 where it is < 0."""
+    r = np.arange(ctx.size)
+    return np.arange(n_max + 1)[:, None, None] + ctx.spec.kind * (r - r[:, None])
 
 
 def _gram_blocks(fs, gs, k=0):
@@ -69,8 +77,7 @@ def inner_product_weighted(P, Q, spec: FamilySpec):
     P and Q are monomial coefficient arrays (degree+1, N, N), such as the
     `pn` of a family; the Gauss-Hermite rule is exact for the product.
     """
-    pair = build_structured(spec.size, spec.nu)
-    R = right_factor_poly(pair, spec.kind)
+    R = right_factor_poly(build_structured(spec.size, spec.nu), spec.kind)
     deg = (P.shape[0] - 1) + (Q.shape[0] - 1) + 2 * (R.shape[0] - 1)
     rule = gauss_hermite(deg // 2 + 8)
     t, w = rule.nodes, rule.weights
@@ -99,25 +106,32 @@ def expand(F: MatrixGaussian, ctx: FamilyContext, project=False):
     if F.size != ctx.size:
         raise ValueError("size mismatch")
     if not project:
-        q = poly_times(F.coeffs, right_factor_poly(ctx.structured, ctx.spec.kind, sign=-1))
-        deg = degree_of(q, SPAN_RTOL)
+        deg = degree_of(poly_times(F.coeffs, ctx.right_factor_inv), SPAN_RTOL)
         if deg > ctx.n_max:
             raise ValueError(
                 f"input spans degree {deg} > n_max {ctx.n_max}; expansion would truncate "
                 "(pass project=True for a projection)"
             )
-    coeffs = _gram_blocks([F], ctx.phi_tilde)[0]
+    # C_n[:, r] = sum_a F_{n+k(a-r)}[:, a] alpha[n, r, a]
+    m = _support(ctx, ctx.n_max)
+    gathered = F.coeffs[np.clip(m, 0, F.degree), :, np.arange(ctx.size)]  # (n, r, a, :); masked above F.degree
+    coeffs = np.einsum("nrai,nra->nir", gathered, ctx.alpha * (m <= F.degree))
     return CoefficientExpansion(spec=ctx.spec, n_max=ctx.n_max, coeffs=coeffs)
 
 
 def reconstruct(expansion: CoefficientExpansion, ctx: FamilyContext):
-    """Sum C_n Phi-tilde_n in exact coefficient algebra."""
-    if expansion.n_max > ctx.n_max:
-        raise ValueError("expansion index exceeds context")
-    out = MatrixGaussian.zero(ctx.size)
-    for n in range(expansion.n_max + 1):
-        out = out + ctx.phi_tilde[n].left_mul(expansion.coeffs[n])
-    return out
+    """Sum C_n Phi-tilde_n, as one scatter-add of C_n[:, r] alpha[n, r, a] into psi index n + k(a - r)."""
+    N, n_max = ctx.size, expansion.n_max
+    if expansion.spec != ctx.spec or expansion.coeffs.shape != (n_max + 1, N, N) or n_max > ctx.n_max:
+        raise ValueError(
+            f"expansion of {expansion.spec} with n_max={n_max} and coefficients of shape "
+            f"{expansion.coeffs.shape} does not fit the family {ctx.spec} with n_max={ctx.n_max}"
+        )
+    m = _support(ctx, n_max)
+    out = np.zeros((m.max() + 1, N, N), dtype=complex)
+    terms = np.einsum("nir,nra->nrai", expansion.coeffs, ctx.alpha[: n_max + 1])
+    np.add.at(out, (np.maximum(m, 0)[..., None], np.arange(N), np.arange(N)[:, None]), terms)
+    return MatrixGaussian(out)
 
 
 def matrix_element(ctx: FamilyContext, k, n, m):
@@ -142,17 +156,9 @@ class BandMatrix:
     def to_csv(self, path):
         """Flattened matrix as CSV, complex entries split into _re/_im pairs."""
         size = self.flat.shape[0]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = []
-            for j in range(size):
-                header += [f"c{j}_re", f"c{j}_im"]
-            writer.writerow(header)
-            for i in range(size):
-                row = []
-                for j in range(size):
-                    row += [format(self.flat[i, j].real, ".17g"), format(self.flat[i, j].imag, ".17g")]
-                writer.writerow(row)
+        pairs = np.stack([self.flat.real, self.flat.imag], axis=-1).reshape(size, 2 * size)
+        header = ",".join(f"c{j}_{part}" for j in range(size) for part in ("re", "im"))
+        np.savetxt(path, pairs, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")
 
 
 def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
@@ -170,20 +176,22 @@ def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
         raise ValueError("n_max exceeds context")
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    N = ctx.size
-    phis = ctx.phi_tilde[: n_max + 1]
-    length = max(h.degree for h in phis) + k + 1
-    X, Y = _rows(phis, length, k), _rows(phis, length)
-    # Phi-tilde_n against Phi-tilde_m for m = n-k..n+k only, one small product per n;
-    # m is clipped into range at the ends and those products are dropped
-    n = np.arange(n_max + 1)[:, None]
-    m = n + np.arange(-k, k + 1)
-    window = np.conj(Y[np.clip(m, 0, n_max)]).reshape(n_max + 1, (2 * k + 1) * N, -1)
-    near = (X @ window.transpose(0, 2, 1)).reshape(n_max + 1, N, 2 * k + 1, N).transpose(0, 2, 1, 3)
+    N, kind = ctx.size, ctx.spec.kind
+    alpha, i = ctx.alpha[: n_max + 1], _support(ctx, n_max)
+    # x^k Phi-tilde_n: entry (r, a) is sum_o alpha[n, r, a] <x^k psi_i, psi_{i+o}> psi_{i+o}, o = -k..k
+    E = ladder_band(i.max(), k)[k]
+    shifted = (alpha[..., None] * E[np.maximum(i, 0)]).transpose(0, 3, 1, 2).reshape(n_max + 1, 1, -1, N)
+    # block (n, m = n + d), entry (r, s): the sum over a at the shift o = d + kind(r - s) that meets
+    # psi_{m+kind(a-s)}; m is clipped into range and those blocks are dropped at the ends
+    n, r, o = np.arange(n_max + 1)[:, None], np.arange(N), np.arange(-k, k + 1)
+    m = n + o
     keep = (m >= 0) & (m <= n_max)
-    blocks = np.zeros((n_max + 1, n_max + 1, N, N), dtype=complex)
+    meets = o[:, None, None] == o[:, None, None, None] + kind * (r[:, None] - r)  # (d, o, r, s)
+    pairs = shifted @ alpha[np.clip(m, 0, n_max)].transpose(0, 1, 3, 2)  # (n, d, (o, r), s)
+    near = np.einsum("ndors,dors->ndrs", pairs.reshape(n_max + 1, 2 * k + 1, 2 * k + 1, N, N), meets)
+    flat = np.zeros(((n_max + 1) * N, (n_max + 1) * N), dtype=complex)
+    blocks = flat.reshape(n_max + 1, N, n_max + 1, N).transpose(0, 2, 1, 3)  # a view: one dense array
     blocks[np.broadcast_to(n, m.shape)[keep], m[keep]] = near[keep]
-    flat = blocks.transpose(0, 2, 1, 3).reshape((n_max + 1) * N, (n_max + 1) * N)
     return BandMatrix(
         spec=ctx.spec,
         k=k,

@@ -13,18 +13,21 @@ only on rows q < r of earlier n, so the table is built one row index at a
 time for all n at once: the psi-coefficients of psi_m e_a R^{-1} are one
 product table per build, and each row index takes one stacked SVD per set
 of supported columns.  The norms, Phi_n and P_n follow from the table in
-closed form.  Phi-tilde_n and Phi_n are stored as their psi-coefficients,
-the table placed at index m; only P_n is returned as monomial coefficients.
+closed form.  The table is the stored data: Phi-tilde_n and Phi_n are
+built from it as psi-coefficients (the table placed at index m) the first
+time each index is read, and expansion, reconstruction and band matrices
+read the table directly.  Only P_n is returned as monomial coefficients.
 """
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hermite import wave_polys
-from .matpoly import MatrixGaussian, ladder, poly_eval
+from .matpoly import MatrixGaussian, ladder_band, poly_eval
 from .structmat import StructuredPair, build_structured, nilpotent_series
 
 
@@ -98,12 +101,39 @@ def weight_eval(spec, x):
     return vals[0] if scalar else vals
 
 
+class FunctionTable(Sequence):
+    """Phi-tilde_0..n_max, or Phi_n = ||P_n|| Phi-tilde_n given root[n] = sqrt(diag ||P_n||^2).
+
+    Each MatrixGaussian is built from alpha the first time its index is read, then kept.
+    """
+
+    def __init__(self, alpha, kind, root=None):
+        self._alpha, self._kind, self._root, self._built = alpha, kind, root, {}
+
+    def __len__(self):
+        return len(self._alpha)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[j] for j in range(*n.indices(len(self)))]
+        n = range(len(self))[n]  # negative indices; IndexError out of range
+        if n not in self._built:
+            N = self._alpha.shape[1]
+            rows, cols = np.indices((N, N))
+            coeffs = np.zeros((n + self._kind * (N - 1) + 1, N, N))
+            coeffs[np.maximum(n + self._kind * (cols - rows), 0), rows, cols] = self._alpha[n]  # 0 where m < 0
+            self._built[n] = MatrixGaussian(coeffs if self._root is None else coeffs * self._root[n][:, None])
+        return self._built[n]
+
+
 @dataclass(frozen=True)
 class FamilyContext:
     """Everything built for one family up to index n_max.
 
-    norms[n] = ||P_n||^2 is inf once it leaves the double range (from n near
-    190 for N = 8); log_norms[n] holds log ||P_n||^2, finite for every n.
+    alpha (n_max+1, N, N) is the read-only table of `_table`, and phi_tilde
+    and phi are FunctionTables over it.  norms[n] = ||P_n||^2 is inf once it
+    leaves the double range (from n near 190 for N = 8); log_norms[n] holds
+    log ||P_n||^2, finite for every n.
     null_margin[n, r] is the second-smallest over the largest singular value
     of the degree condition of row r of Phi-tilde_n (1.0 when the row has a
     single unknown): near machine epsilon, the row is barely determined.
@@ -112,36 +142,18 @@ class FamilyContext:
     spec: FamilySpec
     structured: StructuredPair
     n_max: int
-    right_factor: np.ndarray = field(repr=False)
+    right_factor_inv: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
     pn: list = field(repr=False)
     norms: list = field(repr=False)
-    phi: list = field(repr=False)
-    phi_tilde: list = field(repr=False)
+    phi: FunctionTable = field(repr=False)
+    phi_tilde: FunctionTable = field(repr=False)
     log_norms: np.ndarray = field(repr=False)
     null_margin: np.ndarray = field(repr=False)
 
     @property
     def size(self):
         return self.spec.size
-
-
-def _product_table(R_inv, m_max):
-    """psi-coefficients of psi_m e_a R^{-1} for m = 0..m_max, shape (m_max+1, 2D+1, N, N).
-
-    T[m, o, a, b] is the psi_{m+o-D} coefficient of column b of psi_m(x) times
-    row a of R^{-1}(x), D = deg R^{-1}; by D ladder steps on the unit columns.
-    """
-    D = R_inv.shape[0] - 1
-    power = np.eye(m_max + 1)  # column m: psi-coefficients of x^j psi_m
-    padded = np.zeros((m_max + 1 + 2 * D, m_max + 1))  # D zero rows below index 0
-    cols = np.arange(m_max + 1)[:, None]
-    band = np.empty((D + 1, m_max + 1, 2 * D + 1))
-    for j in range(D + 1):
-        if j:
-            power = ladder(power)
-        padded[D : D + power.shape[0]] = power
-        band[j] = padded[cols + np.arange(2 * D + 1), cols]
-    return np.tensordot(band, R_inv, axes=(0, 0))
 
 
 def _table(spec, T, n_max):
@@ -219,9 +231,9 @@ def _table(spec, T, n_max):
 def build_family(spec, n_max):
     """Construct the orthonormal functions, their norms and polynomials up to n_max.
 
-    Each Phi-tilde_n is stored as its table of wave-function coefficients
-    (see `_table`).  With c_r the psi_n coefficient of column r of row r of
-    Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)),
+    Each Phi-tilde_n is stored as its slice alpha[n] of the table of
+    wave-function coefficients (see `_table`).  With c_r the psi_n
+    coefficient of column r of row r of Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)),
     Phi_n = ||P_n|| Phi-tilde_n and P_n is the polynomial part of
     Phi_n R^{-1} e^{x^2/2}, whose leading coefficient has unit diagonal; P_n
     alone is returned as monomial coefficients.
@@ -231,8 +243,10 @@ def build_family(spec, n_max):
     pair = build_structured(spec.size, spec.nu)
     N, k = spec.size, spec.kind
     D = k * (N - 1)
-    R = right_factor_poly(pair, k)
-    alpha, psi, margin = _table(spec, _product_table(right_factor_poly(pair, k, sign=-1), n_max + D), n_max)
+    R_inv = right_factor_poly(pair, k, sign=-1)
+    # T[m, o, a, b]: psi_{m+o-D} coefficient of column b of psi_m(x) times row a of R^{-1}(x)
+    alpha, psi, margin = _table(spec, np.tensordot(ladder_band(n_max + D, D), R_inv, axes=(0, 0)), n_max)
+    alpha.flags.writeable = False
 
     n = np.arange(n_max + 1)
     log_scale = np.array([math.lgamma(j + 1) for j in n]) - n * math.log(2.0) + 0.5 * math.log(math.pi)
@@ -241,13 +255,8 @@ def build_family(spec, n_max):
         norms = [np.diag(v) for v in np.exp(log_norms)]
     root = np.exp(0.5 * log_norms)
     waves = wave_polys(n_max)  # column j: monomial coefficients of psi_j
-    rows, cols = np.indices((N, N))
-    pn, phi, phi_tilde = [], [], []
+    pn = []
     for j in range(n_max + 1):
-        coeffs = np.zeros((j + D + 1, N, N))
-        coeffs[np.maximum(j + k * (cols - rows), 0), rows, cols] = alpha[j]  # alpha is 0 where m < 0
-        phi_tilde.append(MatrixGaussian(coeffs))
-        phi.append(MatrixGaussian(phi_tilde[-1].coeffs * root[j][:, None]))
         low = max(0, j - 2 * D)
         window = (root[j][:, None] * psi[j, low - j + 2 * D :]).reshape(j + 1 - low, N * N)
         pn.append((waves[: j + 1, low : j + 1] @ window).reshape(j + 1, N, N))
@@ -256,11 +265,12 @@ def build_family(spec, n_max):
         spec=spec,
         structured=pair,
         n_max=n_max,
-        right_factor=R,
+        right_factor_inv=R_inv,
+        alpha=alpha,
         pn=pn,
         norms=norms,
-        phi=phi,
-        phi_tilde=phi_tilde,
+        phi=FunctionTable(alpha, k, root),
+        phi_tilde=FunctionTable(alpha, k),
         log_norms=log_norms,
         null_margin=margin,
     )

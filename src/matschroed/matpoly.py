@@ -57,17 +57,36 @@ def ladder(v, sign=1):
     return out
 
 
+def ladder_band(m_max, steps):
+    """band[j, m, o]: the psi_{m+o-steps} coefficient of x^j psi_m, for j = 0..steps and m = 0..m_max.
+
+    By j ladder steps on the unit vectors; x^j psi_m reaches only psi_{m-j}..psi_{m+j}.
+    """
+    power = np.eye(m_max + 1)  # column m: psi-coefficients of x^j psi_m
+    padded = np.zeros((m_max + 1 + 2 * steps, m_max + 1))  # `steps` zero rows below index 0
+    cols = np.arange(m_max + 1)[:, None]
+    band = np.empty((steps + 1, m_max + 1, 2 * steps + 1))
+    for j in range(steps + 1):
+        if j:
+            power = ladder(power)
+        padded[steps : steps + power.shape[0]] = power
+        band[j] = padded[cols + np.arange(2 * steps + 1), cols]
+    return band
+
+
 def poly_times(c, P):
     """psi-coefficients of f(x) P(x), by Horner's scheme in the ladder operator.
 
     c holds the psi-coefficients of f along axis 0 (each a matrix with N
     columns); P holds the monomial coefficients of a matrix polynomial
-    (degree+1, N, N'), multiplied on the right.
+    (degree+1, N, N'), multiplied on the right.  Each c P[j] is one 2-d
+    product on c's rows, not a batch of N x N products.
     """
-    out = c @ P[-1]
+    rows = c.reshape(-1, c.shape[-1])
+    out = (rows @ P[-1]).reshape(c.shape[:-1] + P.shape[-1:])
     for j in range(P.shape[0] - 2, -1, -1):
         out = ladder(out)
-        out[: c.shape[0]] += c @ P[j]
+        out[: c.shape[0]] += (rows @ P[j]).reshape(c.shape[:-1] + P.shape[-1:])
     return out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matschroed.expansion import (
+    CoefficientExpansion,
     _gram_blocks,
     band_pattern,
     expand,
@@ -252,6 +253,66 @@ def test_batched_blocks_match_pairwise():
     coeffs = expand(f, ctx).coeffs
     for n in range(13):
         assert gap(coeffs[n], _pair_block(f, phis[n])) < 1e-12, n
+
+
+def _relative_gap(got, ref):
+    """Largest |got - ref| relative to max(1, |ref|), entry by entry."""
+    return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)), initial=0.0))
+
+
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [
+        (FamilySpec(1, 8, [0.8, -0.6, 0.9, 0.7, -0.5, 0.6, 0.8]), 200),
+        (FamilySpec(2, 8, [0.8, -0.6, 0.9, 0.7, -0.5, 0.6, 0.8]), 200),
+        (FamilySpec(1, 1, []), 12),  # D = 0: every entry is one psi_n
+        (FamilySpec(2, 1, []), 12),
+        (FamilySpec(1, 3, [0.8, -1.3]), 0),
+        (FamilySpec(2, 3, [0.8, -1.3]), 0),
+    ],
+    ids=str,
+)
+def test_alpha_paths_match_generic_gram(spec, n_max):
+    # expand, reconstruct and band_pattern read the table alpha; the reference is
+    # the Parseval path `_gram_blocks` on the materialized Phi-tilde_n
+    ctx = build_family(spec, n_max)
+    phis, N = list(ctx.phi_tilde), spec.size
+    rng = np.random.default_rng(34)
+    C = rng.standard_normal((n_max + 1, N, N)) + 1j * rng.standard_normal((n_max + 1, N, N))
+    F = reconstruct(CoefficientExpansion(spec, n_max, C), ctx)
+    ref = MatrixGaussian.zero(N)
+    for n in range(n_max + 1):
+        ref = ref + phis[n].left_mul(C[n])
+    assert F.degree == ref.degree
+    assert _relative_gap(F.coeffs, ref.coeffs) <= 1e-12
+    assert _relative_gap(expand(F, ctx).coeffs, _gram_blocks([F], phis)[0]) <= 1e-12
+    for k in (1, 2):
+        bm = band_pattern(ctx, k)
+        reference = np.zeros_like(bm.blocks)
+        for n in range(n_max + 1):  # each n against m = n-k..n+k
+            lo, hi = max(0, n - k), min(n_max + 1, n + k + 1)
+            reference[n, lo:hi] = _gram_blocks([phis[n]], phis[lo:hi], k)[0]
+        near = np.abs(np.arange(n_max + 1)[:, None] - np.arange(n_max + 1)) <= k
+        assert not bm.blocks[~near].any()  # exactly 0 off the band
+        assert _relative_gap(bm.blocks, reference) <= 1e-12, k
+        reference_flat = reference.transpose(0, 2, 1, 3).reshape(bm.flat.shape)
+        np.testing.assert_array_equal(bm.mask, np.abs(reference_flat) > bm.threshold)
+
+
+def test_reconstruct_rejects_mismatched_expansion():
+    one = build_family(FamilySpec(1, 3, [0.8, -1.3]), 6)
+    two = build_family(FamilySpec(2, 3, [0.8, -1.3]), 6)
+    C = np.random.default_rng(35).standard_normal((7, 3, 3))
+    expansion = CoefficientExpansion(one.spec, 6, C)
+    reconstruct(expansion, one)
+    names_both = r"kind=1, size=3.*kind=2, size=3"
+    with pytest.raises(ValueError, match=names_both):
+        reconstruct(expansion, two)  # the same coefficients in another basis
+    for bad in (C[:6], C[:, :2, :2], C[0]):
+        with pytest.raises(ValueError, match=r"kind=1, size=3.*shape.*kind=1, size=3"):
+            reconstruct(CoefficientExpansion(one.spec, 6, bad), one)
+    with pytest.raises(ValueError, match=r"n_max=8 .*n_max=6"):
+        reconstruct(CoefficientExpansion(one.spec, 8, np.zeros((9, 3, 3))), one)
 
 
 def test_expand_size_mismatch(contexts):

@@ -196,6 +196,30 @@ def test_orthonormality_at_n_max_200(kind):
     assert np.max(np.abs(G - np.eye((n_max + 1) * N)[-21 * N :])) <= 1e-12
 
 
+@pytest.mark.parametrize("which", ["phi_tilde", "phi"])
+def test_function_table_is_a_read_only_sequence(which):
+    # each function is built from alpha on first read and then kept
+    ctx = build_family(FamilySpec(2, 3, [0.8, -1.3]), 6)
+    table = getattr(ctx, which)
+    assert len(table) == 7
+    assert table[-1] is table[6]
+    assert table[3] is table[3]
+    with pytest.raises(IndexError):
+        table[7]
+    with pytest.raises(IndexError):
+        table[-8]
+    part = table[1:6:2]
+    assert isinstance(part, list) and [f.degree for f in part] == [table[j].degree for j in (1, 3, 5)]
+    assert all(f is table[n] for n, f in enumerate(table))
+    assert not ctx.alpha.flags.writeable
+    with pytest.raises(ValueError):
+        ctx.alpha[0, 0, 0] = 2.0
+    for n, f in enumerate(table):
+        scale = np.exp(0.5 * ctx.log_norms[n]) if which == "phi" else np.ones(3)
+        rows, cols = np.indices((3, 3))
+        np.testing.assert_array_equal(f.coeffs[np.maximum(n + 2 * (cols - rows), 0), rows, cols], scale[:, None] * ctx.alpha[n])
+
+
 def test_consistency_error_names_spec_and_index():
     # with nu this large the small entries of the degree condition fall below
     # the rounding of its large ones, so its numerical null space is 2-dimensional
