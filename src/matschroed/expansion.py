@@ -135,9 +135,12 @@ def reconstruct(expansion: CoefficientExpansion, ctx: FamilyContext):
 
 
 def matrix_element(ctx: FamilyContext, k, n, m):
-    """(x^k I)_{nm} = int x^k Phi-tilde_n(x) Phi-tilde_m(x)^* dx."""
+    """(x^k I)_{nm} = int x^k Phi-tilde_n(x) Phi-tilde_m(x)^* dx; exactly zero for |n - m| > k."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
+    n, m = range(ctx.n_max + 1)[n], range(ctx.n_max + 1)[m]  # negative indices; IndexError out of range
+    if abs(n - m) > k:  # vanishes by degree counting; the Parseval sum would leave rounding
+        return np.zeros((ctx.size, ctx.size), dtype=complex)
     return _gram_blocks([ctx.phi_tilde[n]], [ctx.phi_tilde[m]], k)[0, 0]
 
 

@@ -4,6 +4,13 @@ Conventions: H_n are the physicists' polynomials (H_{n+1} = 2x H_n - 2n H_{n-1})
 and psi_n(x) = (2^n n! sqrt(pi))^{-1/2} e^{-x^2/2} H_n(x) the normalized wave
 functions.  The quadrature rule integrates against the weight e^{-x^2} on R;
 it needs numpy only, is computed once per order and is shared read-only.
+
+`wave_table` keeps the last psi table it built, keyed on the points' values
+and the envelope flag, so evaluating many functions on one grid runs the
+recurrence once: a lower degree reads a row slice of the kept table, a
+higher one continues the recurrence from its last two rows.  The values are
+bit-identical to `wave_functions`.  Tables above TABLE_CACHE_BYTES (1 MiB) are
+returned but not kept.
 """
 
 from dataclasses import dataclass
@@ -46,10 +53,48 @@ def wave_functions(n, x, envelope=True):
         raise ValueError("index must be >= 0")
     out = np.empty((n + 1, x.size))
     out[0] = np.pi ** -0.25 * (np.exp(-x * x / 2.0) if envelope else 1.0)
-    if n >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for k in range(1, n):
-        out[k + 1] = x * np.sqrt(2.0 / (k + 1)) * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
+    _recur(out, x, 1)
+    return out
+
+
+def _recur(out, x, start):
+    """Fill rows start.. of out (start >= 1) from the two rows below each, by the recurrence of `wave_functions`."""
+    for k in range(start - 1, out.shape[0] - 1):
+        out[k + 1] = x * np.sqrt(2.0 / (k + 1)) * out[k]
+        if k:
+            out[k + 1] -= np.sqrt(k / (k + 1.0)) * out[k - 1]
+
+
+# Largest psi table, in bytes, that `wave_table` keeps (the 801-point, degree-28
+# table of a density request is 186 kB).
+TABLE_CACHE_BYTES = 1 << 20
+_kept = None  # (points, envelope, table), all read-only; replaced as one tuple
+
+
+def wave_table(n, x, envelope=True):
+    """`wave_functions(n, x, envelope)` as a read-only array, reused while x holds the same values.
+
+    x must be a 1-d float array.  The table is keyed on a private copy of x,
+    so changing x in place between calls gives the new values.
+    """
+    global _kept
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    kept = _kept
+    if kept is not None and kept[1] == envelope and np.array_equal(kept[0], x):
+        points, table = kept[0], kept[2]
+        if n < table.shape[0]:
+            return table[: n + 1]
+        out = np.empty((n + 1, x.size))
+        out[: table.shape[0]] = table
+        _recur(out, points, table.shape[0])
+    else:
+        points = x.copy()
+        points.flags.writeable = False
+        out = wave_functions(n, points, envelope)
+    out.flags.writeable = False
+    if out.nbytes <= TABLE_CACHE_BYTES:
+        _kept = (points, envelope, out)
     return out
 
 

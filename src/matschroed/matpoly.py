@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import wave_functions
+from .hermite import wave_table
 from .structmat import _I_POW
 
 TRIM_TOL = 1e-14
@@ -125,8 +125,15 @@ class MatrixGaussian:
     # -- evaluation -------------------------------------------------------
 
     def _at(self, x, envelope):
-        x = np.asarray(x, dtype=float)
-        psi = wave_functions(self.degree, np.atleast_1d(x), envelope)
+        x = np.asarray(x)
+        if np.iscomplexobj(x):
+            raise ValueError("evaluation points must be real, got a complex array")
+        x = x.astype(float, copy=False)
+        if x.ndim > 1:
+            raise ValueError(f"evaluation points must be a scalar or a 1-d array, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"evaluation points must be finite, got {x[~np.isfinite(x)][:3]}")
+        psi = wave_table(self.degree, np.atleast_1d(x), envelope)
         # real product on the interleaved (re, im) view: no complex copy of the psi table
         flat = self.coeffs.reshape(psi.shape[0], -1).view(float)
         out = np.empty((psi.shape[1], flat.shape[1]))
@@ -141,7 +148,12 @@ class MatrixGaussian:
         return self._at(x, envelope=False)
 
     def __call__(self, x):
-        """Value at x (scalar or 1-d array); the psi_m recurrence keeps it finite at any x."""
+        """Value at x (a finite real scalar or 1-d array); the psi_m recurrence keeps it finite at any x.
+
+        The psi table comes from `hermite.wave_table`: evaluating several
+        functions on the same points builds it once (tables up to
+        TABLE_CACHE_BYTES = 1 MiB are kept), with bit-identical results.
+        """
         return self._at(x, envelope=True)
 
     # -- algebra ----------------------------------------------------------

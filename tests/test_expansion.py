@@ -338,3 +338,26 @@ def test_transform_commutes_with_expansion(contexts, spec):
     h = reconstruct(exp, ctx)
     for x in (-2.0, 0.5, 3.0):
         assert np.max(np.abs(g(x) - h(x))) < 1e-9
+
+
+def test_matrix_element_mask_matches_band_pattern():
+    # blocks with |n - m| > k vanish by degree counting; at this size the Parseval sum
+    # leaves rounding up to 1.2e-10 on them, above the default mask threshold
+    ctx = build_family(FamilySpec(1, 8, [0.8, -0.6, 0.9, 0.7, -0.5, 0.6, 0.8]), 200)
+    for k in (1, 2):
+        band = band_pattern(ctx, k)
+        blocks = np.zeros_like(band.blocks)
+        for n in range(201):
+            for m in range(max(0, n - k - 2), min(200, n + k + 2) + 1):
+                blocks[n, m] = matrix_element(ctx, k, n, m)
+        assert not np.any(blocks[np.abs(np.subtract.outer(range(201), range(201))) > k])
+        mask = np.abs(blocks.transpose(0, 2, 1, 3).reshape(band.flat.shape)) > band.threshold
+        np.testing.assert_array_equal(mask, band.mask)
+
+
+def test_matrix_element_reads_negative_indices():
+    ctx = build_family(SPECS[1], 10)
+    np.testing.assert_array_equal(matrix_element(ctx, 1, -1, 9), matrix_element(ctx, 1, 10, 9))
+    assert not np.any(matrix_element(ctx, 1, -1, 0))
+    with pytest.raises(IndexError):
+        matrix_element(ctx, 1, 11, 10)

@@ -1,13 +1,18 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from matschroed.hermite import (
+    TABLE_CACHE_BYTES,
     gauss_hermite,
     hermite_phys,
     wave_function,
+    wave_functions,
     wave_poly,
+    wave_table,
 )
 
 
@@ -141,3 +146,81 @@ def test_input_validation():
         gauss_hermite(0)
     with pytest.raises(ValueError):
         wave_function(-2, 0.0)
+
+
+@pytest.mark.parametrize("envelope", [True, False])
+def test_wave_table_reuse_is_bit_identical(envelope):
+    x, y = np.linspace(-9, 9, 301), np.linspace(-4, 5, 77)
+    built = wave_table(12, x, envelope)
+    assert np.array_equal(built, wave_functions(12, x, envelope))
+    hit = wave_table(7, x, envelope)  # a row slice of the kept table
+    assert np.shares_memory(hit, built)
+    assert np.array_equal(hit, wave_functions(7, x, envelope))
+    extended = wave_table(30, x, envelope)  # continues the recurrence from rows 11 and 12
+    assert np.array_equal(extended, wave_functions(30, x, envelope))
+    assert np.array_equal(wave_table(30, y, envelope), wave_functions(30, y, envelope))
+    assert np.array_equal(wave_table(5, x, envelope), wave_functions(5, x, envelope))
+    # the other flag on the same points is another table
+    assert np.array_equal(wave_table(5, x, not envelope), wave_functions(5, x, not envelope))
+    # extension from a kept table of one row
+    wave_table(0, y, envelope)
+    assert np.array_equal(wave_table(3, y, envelope), wave_functions(3, y, envelope))
+
+
+def test_wave_table_follows_points_changed_in_place():
+    x = np.linspace(-3, 3, 41)
+    wave_table(6, x)
+    x *= 2.0
+    assert np.array_equal(wave_table(6, x), wave_functions(6, x))
+    x[5] = 0.25
+    assert np.array_equal(wave_table(4, x), wave_functions(4, x))
+
+
+def test_wave_table_is_read_only():
+    x = np.linspace(-2, 2, 9)
+    for n in (4, 2, 8):  # built, hit, extended
+        table = wave_table(n, x)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+def test_wave_table_keeps_no_table_above_the_cap():
+    n = 9
+    points = TABLE_CACHE_BYTES // (8 * (n + 1)) + 1  # one point over the cap
+    x = np.linspace(-5, 5, points)
+    first, second = wave_table(n, x), wave_table(n, x)
+    assert first.nbytes > TABLE_CACHE_BYTES
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(second, wave_functions(n, x))
+    x = np.linspace(-5, 5, points - 1)  # at the cap: kept
+    assert np.shares_memory(wave_table(n, x), wave_table(n, x))
+
+
+def test_wave_table_is_consistent_across_threads():
+    # more threads than cores, each switching the one kept entry between its own grid, flag and degrees
+    grids = [np.linspace(-6, 6, 97 + t) for t in range(6)]
+    wrong, done = [], []
+
+    def work(t):
+        x, envelope = grids[t], bool(t % 2)
+        refs = {n: wave_functions(n, x, envelope) for n in (3, 17, 40)}
+        for i in range(2000):
+            n = (3, 17, 40)[(i + t) % 3]
+            if not np.array_equal(wave_table(n, x, envelope), refs[n]):
+                wrong.append((t, i, n))
+        done.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(grids))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(done) == list(range(len(grids)))
+    assert not wrong

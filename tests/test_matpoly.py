@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matschroed.families import FamilySpec, build_family, gamma_seq
-from matschroed.hermite import wave_function, wave_poly
+from matschroed.hermite import wave_function, wave_poly, wave_table
 from matschroed.matpoly import MatrixGaussian
 from matschroed.operators import quadrature_transform
 from matschroed.structmat import phase_diag
@@ -149,3 +149,49 @@ def test_trailing_trim():
     c[2] = np.eye(2)
     assert MatrixGaussian(1e-15 * c).degree == 2
     assert MatrixGaussian.from_poly(wave_poly(40)[:, None, None]).degree == 40
+
+
+@pytest.mark.parametrize(
+    "x, problem",
+    [
+        (np.nan, "finite"),
+        ([0.0, np.inf], "finite"),
+        (np.array([1.0, -np.inf, 2.0]), "finite"),
+        (np.zeros((2, 3)), "1-d"),
+        (1.0 + 0.5j, "real"),
+        (np.array([0.5, 1.0], dtype=complex), "real"),
+    ],
+    ids=["nan", "inf", "-inf", "2-d", "complex scalar", "complex array"],
+)
+@pytest.mark.parametrize("method", ["__call__", "poly_at"])
+def test_bad_evaluation_points_raise(x, problem, method):
+    f = random_mg(np.random.default_rng(13), 3, 2)
+    with pytest.raises(ValueError, match=problem):
+        getattr(f, method)(x)
+
+
+def test_value_and_polynomial_part_keep_separate_tables():
+    rng = np.random.default_rng(14)
+    p = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    f = MatrixGaussian.from_poly(p)
+    x = np.linspace(-3, 3, 25)
+    poly = sum(p[j] * (x**j)[:, None, None] for j in range(5))
+    for _ in range(2):  # alternate on one grid
+        np.testing.assert_allclose(f(x), poly * np.exp(-x * x / 2)[:, None, None], atol=1e-12)
+        np.testing.assert_allclose(f.poly_at(x), poly, rtol=1e-12, atol=1e-12)
+
+
+def test_values_are_fresh_writable_arrays():
+    rng = np.random.default_rng(15)
+    f, g = random_mg(rng, 6, 3), random_mg(rng, 4, 3)
+    x = np.linspace(-4, 4, 33)
+    a, b = f(x), g(x)
+    table = wave_table(f.degree, x)  # the table the two calls shared
+    assert not table.flags.writeable
+    for out in (a, b):
+        assert out.flags.writeable
+        assert not np.shares_memory(out, table)
+    assert not np.shares_memory(a, b)
+    ref = a.copy()
+    a[:] = 0.0
+    np.testing.assert_array_equal(f(x), ref)
