@@ -6,19 +6,15 @@ Phi_n(x) = e^{-x^2/2} P_n(x) R(x) with deg P_n = n.  The potential x^2 I + 2kJ
 of their Schrodinger operator acts on the right, so it decouples column by
 column into scalar harmonic oscillators: entry (r, a) of the orthonormal
 Phi-tilde_n is alpha[n, r, a] psi_m(x) with m = n + k(a - r), or zero when
-m < 0.  Each row of the table alpha is the null vector of the linear
-condition deg(Phi-tilde_n e^{x^2/2} R^{-1}) <= n, computed in the psi basis
-where multiplication by x is the ladder operator.  Row r of every n depends
-only on rows q < r of earlier n, so the table is built one row index at a
-time for all n at once: the psi-coefficients of psi_m e_a R^{-1} are one
-product table per build, and each row index takes one stacked SVD per set
-of supported columns.  The norms, Phi_n and P_n follow from the table in
-closed form.  The table is the stored data: Phi-tilde_n and Phi_n are
-built from it as psi-coefficients (the table placed at index m) the first
-time each index is read, and expansion, reconstruction and band matrices
-read the table directly.  Only P_n is returned as monomial coefficients.
+m < 0.  Row r of the table alpha is the null vector of the linear condition
+deg(Phi-tilde_n e^{x^2/2} R^{-1}) <= n in the psi basis, where x is the
+ladder operator; it depends only on rows q < r, so building takes one stacked
+SVD per row index, over all n, and nothing else.  Phi-tilde_n, Phi_n and P_n
+(monomial coefficients) are made from alpha when first read; expansion,
+reconstruction and band matrices read alpha directly.
 """
 
+import functools
 import json
 import math
 from collections.abc import Sequence
@@ -101,28 +97,21 @@ def weight_eval(spec, x):
     return vals[0] if scalar else vals
 
 
-class FunctionTable(Sequence):
-    """Phi-tilde_0..n_max, or Phi_n = ||P_n|| Phi-tilde_n given root[n] = sqrt(diag ||P_n||^2).
+class LazyTable(Sequence):
+    """A read-only sequence of `length` items: item n is make(n), computed the first time it is read, then kept."""
 
-    Each MatrixGaussian is built from alpha the first time its index is read, then kept.
-    """
-
-    def __init__(self, alpha, kind, root=None):
-        self._alpha, self._kind, self._root, self._built = alpha, kind, root, {}
+    def __init__(self, length, make):
+        self._length, self._make, self._built = length, make, {}
 
     def __len__(self):
-        return len(self._alpha)
+        return self._length
 
     def __getitem__(self, n):
         if isinstance(n, slice):
             return [self[j] for j in range(*n.indices(len(self)))]
         n = range(len(self))[n]  # negative indices; IndexError out of range
         if n not in self._built:
-            N = self._alpha.shape[1]
-            rows, cols = np.indices((N, N))
-            coeffs = np.zeros((n + self._kind * (N - 1) + 1, N, N))
-            coeffs[np.maximum(n + self._kind * (cols - rows), 0), rows, cols] = self._alpha[n]  # 0 where m < 0
-            self._built[n] = MatrixGaussian(coeffs if self._root is None else coeffs * self._root[n][:, None])
+            self._built[n] = self._make(n)
         return self._built[n]
 
 
@@ -130,8 +119,8 @@ class FunctionTable(Sequence):
 class FamilyContext:
     """Everything built for one family up to index n_max.
 
-    alpha (n_max+1, N, N) is the read-only table of `_table`, and phi_tilde
-    and phi are FunctionTables over it.  norms[n] = ||P_n||^2 is inf once it
+    alpha (n_max+1, N, N) is the read-only table of `_table`; phi_tilde, phi
+    and pn are LazyTables over it.  norms[n] = ||P_n||^2 is inf once it
     leaves the double range (from n near 190 for N = 8); log_norms[n] holds
     log ||P_n||^2, finite for every n.
     null_margin[n, r] is the second-smallest over the largest singular value
@@ -144,10 +133,10 @@ class FamilyContext:
     n_max: int
     right_factor_inv: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
-    pn: list = field(repr=False)
+    pn: LazyTable = field(repr=False)
     norms: list = field(repr=False)
-    phi: FunctionTable = field(repr=False)
-    phi_tilde: FunctionTable = field(repr=False)
+    phi: LazyTable = field(repr=False)
+    phi_tilde: LazyTable = field(repr=False)
     log_norms: np.ndarray = field(repr=False)
     null_margin: np.ndarray = field(repr=False)
 
@@ -157,86 +146,103 @@ class FamilyContext:
 
 
 def _table(spec, T, n_max):
-    """The coefficient table alpha of Phi-tilde_0..n_max, and the windowed psi-coefficients of P_n.
+    """The coefficient table alpha of Phi-tilde_0..n_max, its leading coefficients and null-space margins.
 
-    Entry (r, a) of Phi-tilde_n is alpha[n, r, a] psi_m with m = n + k(a - r)
-    (k = kind).  Row r is the unit vector with deg(row R^{-1}) <= n, i.e. no
-    psi-coefficient above n in any column of row R^{-1}, orthogonal to the
-    rows with the same eigenvalue n + kJ_r, which are the rows q < r of
-    earlier n; the sign makes the psi_n coefficient of column r positive.
-    So row r depends only on rows q < r, and the loop runs over r, with one
-    stacked SVD for all n whose row r has the same supported columns
-    a >= r - n // k.  Returns alpha, psi with psi[n, w, r, b] the
-    psi_{n-2D+w} coefficient of column b of row r of Phi-tilde_n R^{-1}
-    (D = k(N-1); nothing lower is reached), and the null-space margins.
+    Row r of Phi-tilde_n (entry a at psi_m, m = n + k(a - r)) is the unit
+    vector with no psi-coefficient above n in row R^{-1}, orthogonal to the
+    rows q < r of earlier n that share its eigenvalue n + kJ_r, signed so the
+    psi_n coefficient lead[n, r] of its column r is positive: one stacked SVD
+    per r for all n.  A column with m < 0 has zero constraints and one pinning
+    row e_a at the Frobenius norm of the rest (1 if 0); its singular value
+    sorts first, and the rank tolerance (numpy's default, from the supported
+    block's own shape), null-space check and margin read the supported block.
     Raises ConsistencyError for the first failing (n, row) in n order.
     """
     N, k = spec.size, spec.kind
-    D = k * (N - 1)
+    D, a = k * (N - 1), np.arange(N)
     alpha = np.zeros((n_max + 1, N, N))
-    psi = np.zeros((n_max + 1, 2 * D + 1, N, N))
-    margin = np.ones((n_max + 1, N))
-    eps = np.finfo(float).eps
+    lead, margin = np.ones((2, n_max + 1, N))
     first_bad, message = (n_max + 1, N), None  # first failure, in n order then row order
     for r in range(N):
+        ns = np.arange(min(n_max + 1, first_bad[0]))  # rows q < r are valid below first_bad
         above = k * (N - 1 - r)  # psi indices n+1..n+above of row R^{-1} must vanish
-        w = np.arange(2 * D + 1 + above)  # window n-2D..n+above
-        for a0 in range(r, -1, -1):  # first supported column
-            lo = k * (r - a0)
-            hi = min(lo + k if a0 else n_max + 1, first_bad[0])  # rows q < r are valid below first_bad
-            if lo >= hi:
-                break
-            ns, a = np.arange(lo, hi), np.arange(a0, N)
-            shift = k * (a - r) + D  # window index of the lowest psi index each column reaches
-            offset = w[:, None] - shift
-            # prod[g, w, c, b]: psi_{n-2D+w} coefficient of column b of psi_{m_c} e_{a_c} R^{-1}
-            prod = T[(ns[:, None] + k * (a - r))[:, None, :], np.maximum(offset, 0), a]
-            prod *= (offset >= 0)[:, :, None]
-            high = prod[:, 2 * D + 1 :].transpose(0, 1, 3, 2).reshape(ns.size, above * N, a.size)
-            earlier = ns[:, None] - k * (r - np.arange(r))  # rows q < r with the same eigenvalue
-            same = alpha[np.maximum(earlier, 0), np.arange(r), a0:] * (earlier >= 0)[:, :, None]
-            rows = np.concatenate([high, same], axis=1)
-            _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[1] < a.size)
-            s = np.concatenate([s, np.zeros((ns.size, a.size - s.shape[1]))], axis=1)  # zeros of a wide matrix
-            # numpy's default rank tolerance, from the shape without the padding rows of `same`
-            height = above * N + (earlier >= 0).sum(axis=1)
-            null_dim = (s <= s[:, :1] * np.maximum(height, a.size)[:, None] * eps).sum(axis=1)
-            v = vh[:, -1]
-            row_psi = np.einsum("gwcb,gc->gwb", prod[:, : 2 * D + 1], v)
-            lead = row_psi[:, 2 * D, r]
-            sign = np.sign(lead)
-            alpha[ns, r, a0:] = sign[:, None] * v
-            psi[ns, :, r, :] = sign[:, None, None] * row_psi
-            bad = np.flatnonzero((null_dim != 1) | (lead == 0.0))
-            if bad.size:  # before first_bad[0], so it is the first failure so far; later rows stop below it
-                g = bad[0]
-                n = int(ns[g])
-                where = f"kind {spec.kind}, N={N}, nu={spec.nu}, n={n}, row {r}"
-                if null_dim[g] != 1:
-                    message = (
-                        f"{where}: degree condition leaves a {null_dim[g]}-dimensional solution space, "
-                        f"expected 1 (singular values {s[g]})"
-                    )
-                else:
-                    message = f"{where}: psi_{n} coefficient of the diagonal entry vanishes"
-                first_bad = (n, r)
-                break
-            if a.size > 1:
-                margin[ns, r] = s[:, -2] / s[:, 0]
+        m = ns[:, None] + k * (a - r)
+        unsupported, m = m < 0, np.maximum(m, 0)
+        o = D + np.arange(1, above + 1)[:, None] - k * (a - r)  # offset of psi_{n+i} from psi_{m_a}
+        high = T[m[:, None], np.minimum(o, 2 * D), a] * ((o <= 2 * D) & ~unsupported[:, None])[..., None]
+        earlier = ns[:, None] - k * (r - np.arange(r))  # rows q < r with the same eigenvalue
+        same = alpha[np.maximum(earlier, 0), np.arange(r)] * (earlier >= 0)[:, :, None]
+        rows = np.concatenate([high.transpose(0, 1, 3, 2).reshape(ns.size, above * N, N), same], axis=1)
+        scale = np.linalg.norm(rows, axis=(1, 2))
+        pins = np.eye(N) * (unsupported * np.where(scale > 0, scale, 1.0)[:, None])[:, :, None]
+        _, s, vh = np.linalg.svd(np.concatenate([rows, pins], axis=1), full_matrices=False)
+        pinned = unsupported.sum(axis=1)  # s[:, pinned:] are the supported block's singular values
+        top = s[np.arange(ns.size), pinned]
+        tol = top * np.maximum(above * N + (earlier >= 0).sum(axis=1), N - pinned) * np.finfo(float).eps
+        null_dim = ((s <= tol[:, None]) & (a >= pinned[:, None])).sum(axis=1)
+        v = vh[:, -1] * ~unsupported
+        c = np.einsum("ga,ga->g", T[m, D + k * (r - a), a, r], v)  # psi_n coefficient of column r of v R^{-1}
+        alpha[ns, r] = np.sign(c)[:, None] * v
+        lead[ns, r] = np.abs(c)
+        margin[ns, r] = np.divide(s[:, N - 2], top, out=np.ones(ns.size), where=(pinned < N - 1) & (top > 0))
+        bad = np.flatnonzero((null_dim != 1) | (c == 0.0))
+        if bad.size:  # before first_bad[0], so it is the first failure so far; later rows stop below it
+            n = int(bad[0])  # ns starts at 0
+            where = f"kind {spec.kind}, N={N}, nu={spec.nu}, n={n}, row {r}"
+            message = f"{where}: psi_{n} coefficient of the diagonal entry vanishes"
+            if null_dim[n] != 1:
+                message = (f"{where}: degree condition leaves a {null_dim[n]}-dimensional solution space, "
+                           f"expected 1 (singular values {s[n, pinned[n]:]})")
+            first_bad = (n, r)
     if message is not None:
         raise ConsistencyError(message)
-    return alpha, psi, margin
+    return alpha, lead, margin
+
+
+def _finite(values, spec, n, name):
+    """values, or a ValueError naming the spec, n and name when they have left the double range."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"kind {spec.kind}, N={spec.size}, nu={spec.nu}, n={n}: {name} leaves the double range")
+    return values
+
+
+def _function(alpha, spec, scale, n):
+    """Phi-tilde_n, or Phi_n = diag(scale[n]) Phi-tilde_n: alpha[n] placed at its psi indices m."""
+    N, k = spec.size, spec.kind
+    rows, cols = np.indices((N, N))
+    coeffs = np.zeros((n + k * (N - 1) + 1, N, N))
+    coeffs[np.maximum(n + k * (cols - rows), 0), rows, cols] = alpha[n]  # 0 where m < 0
+    return MatrixGaussian(coeffs if scale is None else coeffs * _finite(scale[n], spec, n, "Phi_n")[:, None])
+
+
+def _poly(alpha, T, spec, root, batch, n):
+    """Monomial coefficients of P_n = Phi_n R^{-1} e^{x^2/2}; the first call puts every P_n in the list batch."""
+    if batch:
+        return _finite(batch[n], spec, n, "P_n")
+    n_max, N, D, k = alpha.shape[0] - 1, spec.size, T.shape[1] // 2, spec.kind
+    i, w, r, a = np.ogrid[: n_max + 1, : 2 * D + 1, :N, :N]
+    m, o = i + k * (a - r), w - D - k * (a - r)  # o: offset of psi_{i-2D+w} from psi_m
+    prod = T[np.maximum(m, 0), np.clip(o, 0, 2 * D), a]
+    prod *= ((m >= 0) & (o >= 0) & (o <= 2 * D))[..., None]
+    waves = wave_polys(n_max)  # column j: monomial coefficients of psi_j
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range; `_finite` raises on read
+        window = np.einsum("iwrab,ira->iwrb", prod, alpha) * root[:, None, :, None]  # psi_{i-2D+w} of Phi_i R^{-1}
+        parts = [window[j, -(j + 1) :].reshape(-1, N * N) for j in range(n_max + 1)]  # psi_{max(0, j-2D)}..psi_j
+        batch.extend((waves[: j + 1, j + 1 - len(p) : j + 1] @ p).reshape(j + 1, N, N) for j, p in enumerate(parts))
+    return _poly(alpha, T, spec, root, batch, n)
 
 
 def build_family(spec, n_max):
     """Construct the orthonormal functions, their norms and polynomials up to n_max.
 
-    Each Phi-tilde_n is stored as its slice alpha[n] of the table of
-    wave-function coefficients (see `_table`).  With c_r the psi_n
-    coefficient of column r of row r of Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)),
-    Phi_n = ||P_n|| Phi-tilde_n and P_n is the polynomial part of
-    Phi_n R^{-1} e^{x^2/2}, whose leading coefficient has unit diagonal; P_n
-    alone is returned as monomial coefficients.
+    Building solves for the table alpha (`_table`, N stacked SVDs) and
+    nothing else.  With c_r the psi_n coefficient of column r of row r of
+    Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)), Phi_n =
+    ||P_n|| Phi-tilde_n, and P_n, the polynomial part of Phi_n R^{-1}
+    e^{x^2/2}, has a unit-diagonal leading coefficient.  phi_tilde[n] and
+    phi[n] are made on first read; the first pn read makes every P_n in one
+    batch.  Reading phi[n] or pn[n] raises ValueError once it leaves the
+    double range (for N = 2, phi from n near 340 and pn from n near 330).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -245,32 +251,26 @@ def build_family(spec, n_max):
     D = k * (N - 1)
     R_inv = right_factor_poly(pair, k, sign=-1)
     # T[m, o, a, b]: psi_{m+o-D} coefficient of column b of psi_m(x) times row a of R^{-1}(x)
-    alpha, psi, margin = _table(spec, np.tensordot(ladder_band(n_max + D, D), R_inv, axes=(0, 0)), n_max)
+    T = np.tensordot(ladder_band(n_max + D, D), R_inv, axes=(0, 0))
+    alpha, lead, margin = _table(spec, T, n_max)
     alpha.flags.writeable = False
 
     n = np.arange(n_max + 1)
     log_scale = np.array([math.lgamma(j + 1) for j in n]) - n * math.log(2.0) + 0.5 * math.log(math.pi)
-    log_norms = log_scale[:, None] - 2.0 * np.log(np.diagonal(psi[:, 2 * D], axis1=1, axis2=2))
-    with np.errstate(over="ignore"):  # ||P_n||^2 leaves the double range near n = 190
+    log_norms = log_scale[:, None] - 2.0 * np.log(lead)
+    with np.errstate(over="ignore"):  # ||P_n||^2 leaves the double range near n = 190, ||P_n|| near n = 340
         norms = [np.diag(v) for v in np.exp(log_norms)]
-    root = np.exp(0.5 * log_norms)
-    waves = wave_polys(n_max)  # column j: monomial coefficients of psi_j
-    pn = []
-    for j in range(n_max + 1):
-        low = max(0, j - 2 * D)
-        window = (root[j][:, None] * psi[j, low - j + 2 * D :]).reshape(j + 1 - low, N * N)
-        pn.append((waves[: j + 1, low : j + 1] @ window).reshape(j + 1, N, N))
-
+        root = np.exp(0.5 * log_norms)
     return FamilyContext(
         spec=spec,
         structured=pair,
         n_max=n_max,
         right_factor_inv=R_inv,
         alpha=alpha,
-        pn=pn,
+        pn=LazyTable(n_max + 1, functools.partial(_poly, alpha, T, spec, root, [])),
         norms=norms,
-        phi=FunctionTable(alpha, k, root),
-        phi_tilde=FunctionTable(alpha, k),
+        phi=LazyTable(n_max + 1, functools.partial(_function, alpha, spec, root)),
+        phi_tilde=LazyTable(n_max + 1, functools.partial(_function, alpha, spec, None)),
         log_norms=log_norms,
         null_margin=margin,
     )

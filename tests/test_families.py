@@ -1,9 +1,11 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
+from matschroed import families
 from matschroed.families import (
     ConsistencyError,
     FamilySpec,
@@ -13,6 +15,7 @@ from matschroed.families import (
     weight_eval,
 )
 from matschroed.expansion import inner_product, inner_product_weighted
+from matschroed.matpoly import poly_times
 from matschroed.structmat import build_structured, nilpotent_series
 
 SPECS = [
@@ -196,9 +199,9 @@ def test_orthonormality_at_n_max_200(kind):
     assert np.max(np.abs(G - np.eye((n_max + 1) * N)[-21 * N :])) <= 1e-12
 
 
-@pytest.mark.parametrize("which", ["phi_tilde", "phi"])
+@pytest.mark.parametrize("which", ["phi_tilde", "phi", "pn"])
 def test_function_table_is_a_read_only_sequence(which):
-    # each function is built from alpha on first read and then kept
+    # each item is built from alpha on first read and then kept
     ctx = build_family(FamilySpec(2, 3, [0.8, -1.3]), 6)
     table = getattr(ctx, which)
     assert len(table) == 7
@@ -209,11 +212,17 @@ def test_function_table_is_a_read_only_sequence(which):
     with pytest.raises(IndexError):
         table[-8]
     part = table[1:6:2]
-    assert isinstance(part, list) and [f.degree for f in part] == [table[j].degree for j in (1, 3, 5)]
+    assert isinstance(part, list) and all(f is table[j] for f, j in zip(part, (1, 3, 5)))
     assert all(f is table[n] for n, f in enumerate(table))
     assert not ctx.alpha.flags.writeable
     with pytest.raises(ValueError):
         ctx.alpha[0, 0, 0] = 2.0
+    again = getattr(pickle.loads(pickle.dumps(ctx)), which)  # a context pickles, read items or not
+    if which == "pn":
+        assert [p.shape for p in table] == [(n + 1, 3, 3) for n in range(7)]
+        np.testing.assert_array_equal(again[5], table[5])
+        return
+    np.testing.assert_array_equal(again[5].coeffs, table[5].coeffs)
     for n, f in enumerate(table):
         scale = np.exp(0.5 * ctx.log_norms[n]) if which == "phi" else np.ones(3)
         rows, cols = np.indices((3, 3))
@@ -228,6 +237,85 @@ def test_consistency_error_names_spec_and_index():
     # the first failure in n order: row 1 fails at n=4, before row 0 fails at n=6
     with pytest.raises(ConsistencyError, match=r"kind 2, N=8, nu=\(30\.0(, 30\.0){6}\), n=4, row 1:"):
         build_family(FamilySpec(2, 8, (30.0,) * 7), 10)
+    # at large n (unit-size orthogonality rows under the rank tolerance) and at large nu
+    for kind, nu, n_max, where in [
+        (2, "0.8", 260, "n=248, row 1"),
+        (2, "5.0", 40, "n=37, row 1"),
+        (1, "12.0", 40, "n=20, row 0"),
+    ]:
+        text = rf"kind {kind}, N=8, nu=\({nu}(, {nu}){{6}}\), {where}:".replace(".", r"\.")
+        with pytest.raises(ConsistencyError, match=text):
+            build_family(FamilySpec(kind, 8, (float(nu),) * 7), n_max)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_boundary_rows_match_a_plain_svd(kind):
+    # for n < kind * r, row r has columns with m = n + kind (a - r) < 0; the stacked
+    # solve pins them, so compare with one SVD of the supported columns alone
+    N, n_max = 5, 12
+    ctx = build_family(FamilySpec(kind, N, [0.8, -1.3, 0.6, 1.1]), n_max)
+    n, r, a = np.ogrid[: n_max + 1, :N, :N]
+    supported = np.broadcast_to(n + kind * (a - r) >= 0, ctx.alpha.shape)
+    assert np.all(ctx.alpha[~supported] == 0.0)
+    one = supported.sum(axis=2) == 1
+    assert one.any() and np.all(ctx.null_margin[one] == 1.0)
+    R_inv = ctx.right_factor_inv
+    for r in range(1, N):
+        for n in range(min(kind * r, n_max + 1)):
+            cols = [a for a in range(N) if n + kind * (a - r) >= 0]
+            # psi-coefficients of psi_m(x) times row a of R^{-1}(x), m = n + kind (a - r)
+            funcs = np.zeros((len(cols), n + 2 * kind * N, N))
+            for i, a in enumerate(cols):
+                unit = np.eye(n + kind * (a - r) + 1)[-1][:, None, None]
+                f = poly_times(unit, R_inv[:, a : a + 1])[:, 0]
+                funcs[i, : f.shape[0]] = f
+            high = funcs[:, n + 1 :].reshape(len(cols), -1).T  # no psi-coefficient above n
+            same = [ctx.alpha[n - kind * (r - q), q, cols] for q in range(r) if n >= kind * (r - q)]
+            M = np.vstack([high] + same)
+            _, s, vh = np.linalg.svd(M)
+            s = np.concatenate([s, np.zeros(len(cols) - s.size)])
+            v = vh[-1] * np.sign(vh[-1] @ funcs[:, n, r])  # positive psi_n coefficient in column r
+            assert np.max(np.abs(ctx.alpha[n, r, cols] - v)) <= 1e-13
+            margin = s[-2] / s[0] if len(cols) > 1 else 1.0
+            np.testing.assert_allclose(ctx.null_margin[n, r], margin, rtol=1e-9)
+
+
+def test_one_stacked_svd_per_row_index(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, *args, **kw: shapes.append(M.shape) or svd(M, *args, **kw))
+    for kind, N, n_max in [(1, 5, 12), (2, 8, 40), (1, 1, 3)]:
+        shapes.clear()
+        build_family(FamilySpec(kind, N, [0.8] * (N - 1)), n_max)
+        assert len(shapes) == N and all(shape[0] == n_max + 1 for shape in shapes)
+
+
+def test_pn_built_in_one_batch_on_first_read(monkeypatch):
+    calls = []
+    waves = families.wave_polys
+    monkeypatch.setattr(families, "wave_polys", lambda n: calls.append(n) or waves(n))
+    ctx = build_family(FamilySpec(1, 3, [0.8, -1.3]), 8)
+    assert calls == []  # building makes no P_n
+    first = ctx.pn[5]
+    assert calls == [8]
+    assert all(p.shape == (n + 1, 3, 3) for n, p in enumerate(ctx.pn)) and ctx.pn[5] is first
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_no_overflow_up_to_n_max_400(kind):
+    # ||P_n|| leaves the double range near n = 340 and the monomial coefficients of P_n near n = 330
+    spec = FamilySpec(kind, 2, (0.8,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = build_family(spec, 400)
+        assert np.all(np.isfinite(ctx.alpha)) and np.all(np.isfinite(ctx.log_norms))
+        assert np.isfinite(ctx.phi_tilde[400].coeffs).all()
+        assert np.isfinite(ctx.phi[300].coeffs).all() and np.isfinite(ctx.pn[300]).all()
+        for n in (360, 400):
+            for table, name in ((ctx.phi, "Phi_n"), (ctx.pn, "P_n")):
+                with pytest.raises(ValueError, match=rf"kind {kind}, N=2, nu=\(0\.8,\), n={n}: {name} leaves"):
+                    table[n]
 
 
 def test_log_norms_finite_where_norms_overflow():
