@@ -65,7 +65,8 @@ def mg_from_dict(data):
         raise ValueError(f"'coeffs' matrices have {pairs.shape[1]} entries, expected N*N = {N * N}")
     if not np.all(np.isfinite(pairs)):
         raise ValueError("'coeffs' entries must be finite")
-    return MatrixGaussian((pairs[..., 0] + 1j * pairs[..., 1]).reshape(d + 1, N, N))
+    coeffs = pairs[..., 0] + 1j * pairs[..., 1] if pairs[..., 1].any() else pairs[..., 0]  # real if every im is 0
+    return MatrixGaussian(coeffs.reshape(d + 1, N, N))
 
 
 def save_mg(f, path):
@@ -204,8 +205,8 @@ def cmd_density(args):
         raise ValueError(f"entry indices must be in 1..{spec.size}")
     xs = parse_grid(args.grid)
     ctx = build_family(spec, args.nmax)
-    vals = np.stack([f(xs) for f in ctx.phi_tilde])  # (n, x, a, b)
-    density = np.einsum("nxb,nxb->xn", vals[:, :, i - 1], np.conj(vals[:, :, j - 1])).real
+    vals = np.stack([f(xs) for f in ctx.phi_tilde])  # (n, x, a, b), real; b is summed in order: fixed digits
+    density = sum(vals[:, :, i - 1, b] * vals[:, :, j - 1, b] for b in range(spec.size)).T
     header = "x," + ",".join(f"n{n}" for n in range(args.nmax + 1))
     table = np.column_stack([xs, density])
     np.savetxt(args.out or sys.stdout, table, fmt="%.17g", delimiter=",", header=header, comments="")

@@ -22,10 +22,10 @@ from .matpoly import MatrixGaussian, degree_of, ladder, ladder_band, poly_eval, 
 SPAN_RTOL = 1e-10
 
 
-def _rows(hs, length, k=0):
+def _rows(hs, length, k, dtype):
     """psi-coefficients of x^k h (by ladder steps) for each h, entry row by entry row: (len(hs), N, length*N)."""
     N = hs[0].size
-    out = np.zeros((length - k, len(hs), N, N), dtype=complex)
+    out = np.zeros((length - k, len(hs), N, N), dtype=dtype)
     for i, h in enumerate(hs):
         out[: h.degree + 1, i] = h.coeffs
     for _ in range(k):
@@ -34,12 +34,14 @@ def _rows(hs, length, k=0):
 
 
 def _conj_product(X, Y):
-    """X Y^* for complex 2-d X, Y, as one real product on the (re, im) views (Y gives Re, i Y gives Im).
+    """X Y^* for 2-d X, Y of one dtype as one real product: X Y^T, or on the (re, im) views (Y gives Re, i Y Im).
 
     BLAS hands complex products above ~6.5e4 multiply-adds to a second
     thread, real ones above 1e6 (`matpoly.PRODUCT_BUDGET`); for 5 x 145 x 105
     that took 360 us against 19 us as a real product.
     """
+    if not np.iscomplexobj(X):
+        return X @ Y.T
     P = X.view(float) @ np.concatenate([Y, 1j * Y]).view(float).T
     return P[:, : Y.shape[0]] + 1j * P[:, Y.shape[0] :]
 
@@ -61,8 +63,9 @@ def _gram_blocks(fs, gs, k=0):
     if any(h.size != N for h in (*fs, *gs)):
         raise ValueError("size mismatch")
     length = max(max(f.degree for f in fs) + k, max(g.degree for g in gs)) + 1
-    X = _rows(fs, length, k).reshape(len(fs) * N, -1)
-    Y = _rows(gs, length).reshape(len(gs) * N, -1)
+    dtype = np.result_type(*{h.coeffs.dtype for h in (*fs, *gs)})  # complex if either side is
+    X = _rows(fs, length, k, dtype).reshape(len(fs) * N, -1)
+    Y = _rows(gs, length, 0, dtype).reshape(len(gs) * N, -1)
     return _conj_product(X, Y).reshape(len(fs), N, len(gs), N).transpose(0, 2, 1, 3)
 
 
@@ -128,7 +131,7 @@ def reconstruct(expansion: CoefficientExpansion, ctx: FamilyContext):
             f"{expansion.coeffs.shape} does not fit the family {ctx.spec} with n_max={ctx.n_max}"
         )
     m = _support(ctx, n_max)
-    out = np.zeros((m.max() + 1, N, N), dtype=complex)
+    out = np.zeros((m.max() + 1, N, N), dtype=np.result_type(expansion.coeffs, float))
     terms = np.einsum("nir,nra->nrai", expansion.coeffs, ctx.alpha[: n_max + 1])
     np.add.at(out, (np.maximum(m, 0)[..., None], np.arange(N), np.arange(N)[:, None]), terms)
     return MatrixGaussian(out)
@@ -140,7 +143,7 @@ def matrix_element(ctx: FamilyContext, k, n, m):
         raise ValueError("k must be 1 or 2")
     n, m = range(ctx.n_max + 1)[n], range(ctx.n_max + 1)[m]  # negative indices; IndexError out of range
     if abs(n - m) > k:  # vanishes by degree counting; the Parseval sum would leave rounding
-        return np.zeros((ctx.size, ctx.size), dtype=complex)
+        return np.zeros((ctx.size, ctx.size))  # the Parseval path's dtype: Phi-tilde_n is real
     return _gram_blocks([ctx.phi_tilde[n]], [ctx.phi_tilde[m]], k)[0, 0]
 
 
@@ -157,7 +160,7 @@ class BandMatrix:
     mask: np.ndarray = field(repr=False)
 
     def to_csv(self, path):
-        """Flattened matrix as CSV, complex entries split into _re/_im pairs."""
+        """Flattened matrix as CSV in _re/_im column pairs; the matrix is real, so every _im column is 0."""
         size = self.flat.shape[0]
         pairs = np.stack([self.flat.real, self.flat.imag], axis=-1).reshape(size, 2 * size)
         header = ",".join(f"c{j}_{part}" for j in range(size) for part in ("re", "im"))
@@ -192,7 +195,7 @@ def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
     meets = o[:, None, None] == o[:, None, None, None] + kind * (r[:, None] - r)  # (d, o, r, s)
     pairs = shifted @ alpha[np.clip(m, 0, n_max)].transpose(0, 1, 3, 2)  # (n, d, (o, r), s)
     near = np.einsum("ndors,dors->ndrs", pairs.reshape(n_max + 1, 2 * k + 1, 2 * k + 1, N, N), meets)
-    flat = np.zeros(((n_max + 1) * N, (n_max + 1) * N), dtype=complex)
+    flat = np.zeros(((n_max + 1) * N, (n_max + 1) * N))  # real, as alpha is
     blocks = flat.reshape(n_max + 1, N, n_max + 1, N).transpose(0, 2, 1, 3)  # a view: one dense array
     blocks[np.broadcast_to(n, m.shape)[keep], m[keep]] = near[keep]
     return BandMatrix(

@@ -1,12 +1,14 @@
 """Exact algebra on matrix-valued functions in the Hermite-function basis.
 
 A MatrixGaussian represents f(x) = sum_m C_m psi_m(x), with psi_m the
-normalized Hermite wave functions and complex N x N coefficients C_m.  Every
-operation is a simple map on the coefficients: the Fourier transform is the
-phase (+-i)^m, the reflection x -> -x the sign (-1)^m, and multiplication by
-x and d/dx are the ladder operators, so identities can be checked by
-comparing coefficients instead of sampling.  The psi_m are orthonormal, so
-|C_m| is the L^2 size of its term and inner products are coefficient sums.
+normalized (real) Hermite wave functions and N x N coefficients C_m: float64
+for real data and complex128 for complex data, as numpy promotion gives.
+Every operation is a simple map on the coefficients: the Fourier transform is
+the phase (+-i)^m (so its result is complex), the reflection x -> -x the sign
+(-1)^m, and multiplication by x and d/dx are the ladder operators, so
+identities can be checked by comparing coefficients instead of sampling.
+The psi_m are orthonormal, so |C_m| is the L^2 size of its term and inner
+products are coefficient sums.
 """
 
 from dataclasses import dataclass, field
@@ -17,10 +19,11 @@ from .hermite import wave_table
 from .structmat import _I_POW
 
 TRIM_TOL = 1e-14
-# Largest real product (multiply-adds) in evaluation.  BLAS runs larger ones on
-# two threads, whose hand-off costs more than the product at these sizes (801 x
-# 29 x 50: 414 us against 50 us on one thread, 2-core x86 host, OpenBLAS 0.3.31)
-# and stalls whenever the other core is busy.
+# Largest real product (multiply-adds) in evaluation: points x (degree+1) x N^2
+# for a real function, x 2N^2 for a complex one (its interleaved (re, im) view).
+# BLAS runs larger ones on two threads, whose hand-off costs more than the
+# product at these sizes (801 x 29 x 50: 414 us against 50 us on one thread,
+# 2-core x86 host, OpenBLAS 0.3.31) and stalls whenever the other core is busy.
 PRODUCT_BUDGET = 10**6
 
 
@@ -92,14 +95,20 @@ def poly_times(c, P):
 
 @dataclass(frozen=True)
 class MatrixGaussian:
-    """f(x) = sum_m coeffs[m] psi_m(x), coeffs[m] complex N x N."""
+    """f(x) = sum_m coeffs[m] psi_m(x), coeffs[m] N x N: float64 for real or integer input, else complex128."""
 
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.asarray(self.coeffs)
+        if c.dtype.kind not in "iufc":
+            raise ValueError(f"coeffs must be real or complex numbers, got dtype {c.dtype}")
+        c = c.astype(np.result_type(c, float), copy=False)
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise ValueError("coeffs must have shape (degree+1, N, N)")
+        if not np.isfinite(c).all():
+            first = tuple(int(i) for i in np.argwhere(~np.isfinite(c))[0])
+            raise ValueError(f"coeffs must be finite, got {c[first]} at index {first}")
         object.__setattr__(self, "coeffs", _trim(c))
 
     @property
@@ -114,13 +123,13 @@ class MatrixGaussian:
     @classmethod
     def from_poly(cls, poly):
         """The function P(x) e^{-x^2/2} for monomial matrix coefficients P, shape (degree+1, N, N)."""
-        poly = np.asarray(poly, dtype=complex)
+        poly = np.asarray(poly)
         gaussian = np.pi**0.25 * np.eye(poly.shape[1])[None]  # e^{-x^2/2} = pi^{1/4} psi_0
         return cls(poly_times(gaussian, poly))
 
     @classmethod
     def zero(cls, N):
-        return cls(np.zeros((1, N, N), dtype=complex))
+        return cls(np.zeros((1, N, N)))
 
     # -- evaluation -------------------------------------------------------
 
@@ -134,13 +143,13 @@ class MatrixGaussian:
         if not np.isfinite(x).all():
             raise ValueError(f"evaluation points must be finite, got {x[~np.isfinite(x)][:3]}")
         psi = wave_table(self.degree, np.atleast_1d(x), envelope)
-        # real product on the interleaved (re, im) view: no complex copy of the psi table
+        # a real product; a complex function runs on its interleaved (re, im) view, with no complex psi table
         flat = self.coeffs.reshape(psi.shape[0], -1).view(float)
         out = np.empty((psi.shape[1], flat.shape[1]))
         step = max(1, PRODUCT_BUDGET // flat.size)  # points per product
         for s in range(0, psi.shape[1], step):
             np.matmul(psi[:, s : s + step].T, flat, out=out[s : s + step])
-        out = out.view(complex).reshape((-1,) + self.coeffs.shape[1:])
+        out = out.view(self.coeffs.dtype).reshape((-1,) + self.coeffs.shape[1:])
         return out[0] if x.ndim == 0 else out
 
     def poly_at(self, x):
@@ -148,7 +157,7 @@ class MatrixGaussian:
         return self._at(x, envelope=False)
 
     def __call__(self, x):
-        """Value at x (a finite real scalar or 1-d array); the psi_m recurrence keeps it finite at any x.
+        """Value at x (a finite real scalar or 1-d array) in the dtype of coeffs; finite at any x (psi_m recurrence).
 
         The psi table comes from `hermite.wave_table`: evaluating several
         functions on the same points builds it once (tables up to
@@ -165,7 +174,7 @@ class MatrixGaussian:
     def __add__(self, other):
         self._check_size(other)
         d = max(self.degree, other.degree)
-        c = np.zeros((d + 1, self.size, self.size), dtype=complex)
+        c = np.zeros((d + 1, self.size, self.size), dtype=np.result_type(self.coeffs, other.coeffs))
         c[: self.degree + 1] += self.coeffs
         c[: other.degree + 1] += other.coeffs
         return MatrixGaussian(c)
@@ -178,15 +187,15 @@ class MatrixGaussian:
 
     def left_mul(self, M):
         """x -> M f(x) for a constant matrix M."""
-        return MatrixGaussian(np.einsum("ab,jbc->jac", np.asarray(M, dtype=complex), self.coeffs))
+        return MatrixGaussian(np.einsum("ab,jbc->jac", np.asarray(M), self.coeffs))
 
     def right_mul(self, M):
         """x -> f(x) M for a constant matrix M."""
-        return MatrixGaussian(np.einsum("jab,bc->jac", self.coeffs, np.asarray(M, dtype=complex)))
+        return MatrixGaussian(np.einsum("jab,bc->jac", self.coeffs, np.asarray(M)))
 
     def poly_mul(self, p):
         """Multiply by a scalar polynomial with monomial coefficients p."""
-        P = np.multiply.outer(np.asarray(p, dtype=complex), np.eye(self.size))
+        P = np.multiply.outer(np.asarray(p), np.eye(self.size))
         return MatrixGaussian(poly_times(self.coeffs, P))
 
     def reflect(self):

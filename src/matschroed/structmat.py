@@ -84,9 +84,8 @@ def nilpotent_series(taylor, A):
     power = np.linalg.matrix_power(A, N)
     if np.max(np.abs(power)) > NILPOTENCY_TOL:
         raise ValueError("matrix is not nilpotent (A^N != 0 within tolerance)")
-    dtype = complex if np.iscomplexobj(A) or np.iscomplexobj(np.asarray(taylor)) else float
-    out = np.zeros((N, N), dtype=dtype)
-    term = np.eye(N, dtype=dtype)
+    out = np.zeros((N, N), dtype=np.result_type(A, np.asarray(taylor), float))
+    term = np.eye(N)
     for j in range(N):
         out += (taylor[j] / factorial(j)) * term
         term = term @ A

@@ -17,7 +17,9 @@ from matschroed.cli import (
     parse_grid,
     save_mg,
 )
+from matschroed.families import FamilySpec, build_family
 from matschroed.matpoly import MatrixGaussian
+from matschroed.operators import transform_apply
 
 
 def random_mg(rng, degree, N):
@@ -166,6 +168,31 @@ def test_transform_roundtrip_files(tmp_path):
     assert main(["transform", str(b), "--k", "1", "--direction", "-1", "--out", str(c)]) == 0
     g = load_mg(c)
     assert (f - g).max_abs() < 1e-12 * f.max_abs()
+
+
+def test_density_digits_match_the_complex_product(tmp_path):
+    # entry (2, 3) summed in column order, exactly as a complex product with imaginary parts 0 sums it
+    out = tmp_path / "d.csv"
+    args = ["--kind", "2", "--N", "5", "--nu", "0.7,-0.6,0.9,0.8", "--nmax", "12", "--entry", "2,3"]
+    assert main(["density", *args, "--grid=-6:6:0.05", "--out", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    ctx = build_family(FamilySpec(2, 5, [0.7, -0.6, 0.9, 0.8]), 12)
+    vals = np.stack([f(data[:, 0]) for f in ctx.phi_tilde]).astype(complex)
+    np.testing.assert_array_equal(data[:, 1:], np.einsum("nxb,nxb->xn", vals[:, :, 1], np.conj(vals[:, :, 2])).real)
+
+
+def test_real_function_file_round_trip(tmp_path):
+    # every imaginary part in the file is 0: the function comes back real, with the same values
+    f = MatrixGaussian(np.random.default_rng(44).standard_normal((6, 3, 3)))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_mg(f, a)
+    g = load_mg(a)
+    assert g.coeffs.dtype == np.float64
+    np.testing.assert_array_equal(g.coeffs, f.coeffs)
+    assert main(["transform", str(a), "--k", "2", "--out", str(b)]) == 0
+    h = load_mg(b)  # the transform of a real function is complex
+    assert h.coeffs.dtype == np.complex128 and h.coeffs.imag.any()
+    np.testing.assert_array_equal(h.coeffs, transform_apply(f, 2).coeffs)
 
 
 def test_transform_missing_file(tmp_path):

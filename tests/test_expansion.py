@@ -361,3 +361,20 @@ def test_matrix_element_reads_negative_indices():
     assert not np.any(matrix_element(ctx, 1, -1, 0))
     with pytest.raises(IndexError):
         matrix_element(ctx, 1, 11, 10)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_real_gram_matches_complex_path(kind):
+    # X Y^T on real rows against the (re, im) product on the same rows with imaginary parts 0
+    ctx = build_family(FamilySpec(kind, 5, [0.8, -1.3, 1.1, 0.6]), 40)
+    fs = list(ctx.phi_tilde)
+    cs = [MatrixGaussian(f.coeffs + 0j) for f in fs]
+    for k in (0, 1, 2):
+        real, cplx = _gram_blocks(fs, fs, k), _gram_blocks(cs, cs, k)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert not cplx.imag.any()
+        assert np.max(np.abs(real - cplx.real)) <= 1e-15 * np.max(np.abs(real)), k
+    rng = np.random.default_rng(35)
+    F = MatrixGaussian(rng.standard_normal((30, 5, 5)) + 1j * rng.standard_normal((30, 5, 5)))
+    np.testing.assert_array_equal(_gram_blocks([F], fs, 1), _gram_blocks([F], cs, 1))  # mixed: complex path
+    np.testing.assert_array_equal(_gram_blocks(fs, [F]), _gram_blocks(cs, [F]))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from matschroed.families import FamilySpec, build_family, gamma_seq
+from matschroed.expansion import CoefficientExpansion, band_pattern, expand, inner_product, matrix_element, reconstruct
+from matschroed.families import FamilySpec, build_family, closed_form_N2, gamma_seq
 from matschroed.hermite import wave_function, wave_poly, wave_table
 from matschroed.matpoly import MatrixGaussian
-from matschroed.operators import quadrature_transform
+from matschroed.operators import quadrature_transform, transform_apply
 from matschroed.structmat import phase_diag
 
 
@@ -195,3 +196,102 @@ def test_values_are_fresh_writable_arrays():
     ref = a.copy()
     a[:] = 0.0
     np.testing.assert_array_equal(f(x), ref)
+
+
+@pytest.mark.parametrize(
+    "coeffs, problem",
+    [
+        (np.array([[[np.nan]]]), r"finite, got nan at index \(0, 0, 0\)"),
+        (np.array([[[1.0, 2.0], [3.0, 4.0]], [[0.0, np.inf], [-np.inf, 0.0]]]), r"got inf at index \(1, 0, 1\)"),
+        (np.array([[[0.0, complex(1.0, -np.inf)], [0.0, 1j]]]), r"finite, .* at index \(0, 0, 1\)"),
+        (np.ones((1, 2, 2), dtype=bool), "numbers, got dtype bool"),
+        (np.ones((1, 2, 2), dtype=object), "numbers, got dtype object"),
+        (np.array([[["1.0"]]]), "numbers, got dtype <U3"),
+    ],
+    ids=["nan", "first-of-two-inf", "complex-inf", "bool", "object", "str"],
+)
+def test_bad_coefficients_raise(coeffs, problem):
+    # Phi_n and P_n past the double range raise `families._finite`'s message first
+    # (tests/test_families.py::test_no_overflow_up_to_n_max_400)
+    with pytest.raises(ValueError, match=problem):
+        MatrixGaussian(coeffs)
+
+
+@pytest.fixture(scope="module")
+def family():
+    return build_family(FamilySpec(1, 3, [0.8, -1.3]), 6)
+
+
+X = np.linspace(-4.0, 4.0, 9)
+REAL, COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
+RNG = np.random.default_rng(16)
+REAL_C = RNG.standard_normal((7, 3, 3))
+COMPLEX_C = REAL_C + 1j * RNG.standard_normal((7, 3, 3))
+DTYPES = {
+    "phi_tilde": (lambda ctx, f: f, REAL),
+    "phi": (lambda ctx, f: ctx.phi[4], REAL),
+    "phi_tilde values": (lambda ctx, f: f(X), REAL),
+    "phi values": (lambda ctx, f: ctx.phi[4](X), REAL),
+    "polynomial part": (lambda ctx, f: f.poly_at(X), REAL),
+    "closed_form_N2": (lambda ctx, f: closed_form_N2(FamilySpec(2, 2, [0.7]), 5), REAL),
+    "integer input": (lambda ctx, f: MatrixGaussian(np.arange(8).reshape(2, 2, 2)), REAL),
+    "from_poly": (lambda ctx, f: MatrixGaussian.from_poly(np.arange(8).reshape(2, 2, 2)), REAL),
+    "zero": (lambda ctx, f: MatrixGaussian.zero(3), REAL),
+    "reflect": (lambda ctx, f: f.reflect(), REAL),
+    "differentiate": (lambda ctx, f: f.differentiate(), REAL),
+    "poly_mul": (lambda ctx, f: f.poly_mul([0.5, 0, 2]), REAL),
+    "scale": (lambda ctx, f: f.scale(-2.5), REAL),
+    "left_mul": (lambda ctx, f: f.left_mul(REAL_C[0]), REAL),
+    "right_mul": (lambda ctx, f: f.right_mul(REAL_C[1]), REAL),
+    "add": (lambda ctx, f: f + ctx.phi[2], REAL),
+    "sub": (lambda ctx, f: f - ctx.phi[2], REAL),
+    "conj_transpose": (lambda ctx, f: f.conj_transpose(), REAL),
+    "inner_product": (lambda ctx, f: inner_product(f, ctx.phi[2]), REAL),
+    "matrix_element": (lambda ctx, f: matrix_element(ctx, 1, 4, 5), REAL),
+    "matrix_element zero": (lambda ctx, f: matrix_element(ctx, 1, 0, 5), REAL),
+    "band_pattern flat": (lambda ctx, f: band_pattern(ctx, 1).flat, REAL),
+    "band_pattern blocks": (lambda ctx, f: band_pattern(ctx, 2).blocks, REAL),
+    "reconstruct real": (lambda ctx, f: reconstruct(CoefficientExpansion(ctx.spec, 6, REAL_C), ctx), REAL),
+    "expand real": (lambda ctx, f: expand(ctx.phi[3], ctx).coeffs, REAL),
+    "fourier": (lambda ctx, f: f.fourier(), COMPLEX),
+    "transform_apply": (lambda ctx, f: transform_apply(f, 1), COMPLEX),
+    "scale(1j)": (lambda ctx, f: f.scale(1j), COMPLEX),
+    "left_mul complex": (lambda ctx, f: f.left_mul(COMPLEX_C[0]), COMPLEX),
+    "poly_mul complex": (lambda ctx, f: f.poly_mul([0, 1j]), COMPLEX),
+    "complex values": (lambda ctx, f: MatrixGaussian(f.coeffs + 0j)(X), COMPLEX),
+    "reconstruct complex": (lambda ctx, f: reconstruct(CoefficientExpansion(ctx.spec, 6, COMPLEX_C), ctx), COMPLEX),
+    "expand complex": (lambda ctx, f: expand(MatrixGaussian(f.coeffs + 0j), ctx).coeffs, COMPLEX),
+}
+
+
+@pytest.mark.parametrize("name", DTYPES)
+def test_dtype_follows_the_data(family, name):
+    # real data stays float64; only complex input, a complex factor or the transform make complex128
+    make, dtype = DTYPES[name]
+    out = make(family, family.phi_tilde[4])
+    assert (out.coeffs if isinstance(out, MatrixGaussian) else out).dtype == dtype
+
+
+def test_real_and_complex_paths_agree(family):
+    # the same complex data with every imaginary part 0, through the complex paths
+    C = REAL_C[: family.n_max + 1]
+    real = reconstruct(CoefficientExpansion(family.spec, 6, C), family)
+    cplx = reconstruct(CoefficientExpansion(family.spec, 6, C + 0j), family)
+    np.testing.assert_array_equal(cplx.coeffs, real.coeffs)
+    np.testing.assert_array_equal(expand(MatrixGaussian(real.coeffs + 0j), family).coeffs, expand(real, family).coeffs)
+
+
+@pytest.mark.parametrize("N, n_max", [(1, 200), (2, 200), (5, 200), (8, 200)])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_real_evaluation_matches_complex_path(kind, N, n_max):
+    nu = np.resize([0.8, -0.6, 0.9, 0.7], N - 1)
+    ctx = build_family(FamilySpec(kind, N, nu), n_max)
+    xs = np.linspace(-12.0, 12.0, 801)
+    for table in (ctx.phi_tilde, ctx.phi):
+        for n in (0, 1, n_max // 2, n_max):
+            f = table[n]
+            c = MatrixGaussian(f.coeffs + 0j)
+            for real, cplx in ((f(xs), c(xs)), (f.poly_at(xs[::50]), c.poly_at(xs[::50]))):
+                assert real.dtype == REAL and cplx.dtype == COMPLEX
+                assert not cplx.imag.any()
+                assert np.max(np.abs(real - cplx.real)) <= 1e-15 * np.max(np.abs(real)), n
