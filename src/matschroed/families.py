@@ -9,7 +9,8 @@ Phi-tilde_n is alpha[n, r, a] psi_m(x) with m = n + k(a - r), or zero when
 m < 0.  Row r of the table alpha is the null vector of the linear condition
 deg(Phi-tilde_n e^{x^2/2} R^{-1}) <= n in the psi basis, where x is the
 ladder operator; it depends only on rows q < r, so building takes one stacked
-SVD per row index, over all n, and nothing else.  Phi-tilde_n, Phi_n and P_n
+SVD per row index, over all n, of the constraints that do not vanish by
+degree, then one pass of signs and checks.  Phi-tilde_n, Phi_n and P_n
 (monomial coefficients) are made from alpha when first read; expansion,
 reconstruction and band matrices read alpha directly.
 """
@@ -151,52 +152,51 @@ def _table(spec, T, n_max):
     Row r of Phi-tilde_n (entry a at psi_m, m = n + k(a - r)) is the unit
     vector with no psi-coefficient above n in row R^{-1}, orthogonal to the
     rows q < r of earlier n that share its eigenvalue n + kJ_r, signed so the
-    psi_n coefficient lead[n, r] of its column r is positive: one stacked SVD
-    per r for all n.  A column with m < 0 has zero constraints and one pinning
-    row e_a at the Frobenius norm of the rest (1 if 0); its singular value
-    sorts first, and the rank tolerance (numpy's default, from the supported
-    block's own shape), null-space check and margin read the supported block.
-    Raises ConsistencyError for the first failing (n, row) in n order.
+    psi_n coefficient lead[n, r] of its column r is positive.  The rows
+    psi_{n+i} of column b exist for i <= k(b - r) only (entry (a, b) of R^{-1}
+    has degree k(b - a)); they are gathered before the loop, largest first for a
+    QR accurate row by row, and each r takes one stacked SVD for all n.  A column
+    with m < 0 has zero constraints and one pinning row e_a at the Frobenius norm
+    of the rest (1 if 0); its singular value sorts first, and the rank tolerance
+    (numpy's default, from the supported block's width and unpruned height),
+    null-space check and margin read the supported block.  Signs (orthogonality
+    ignores them) and checks follow in one pass; a failing row feeds only rows
+    of larger n, so the smallest failing (n, row) raises ConsistencyError.
     """
     N, k = spec.size, spec.kind
-    D, a = k * (N - 1), np.arange(N)
-    alpha = np.zeros((n_max + 1, N, N))
-    lead, margin = np.ones((2, n_max + 1, N))
-    first_bad, message = (n_max + 1, N), None  # first failure, in n order then row order
+    D, n, a = k * (N - 1), np.arange(n_max + 1), np.arange(N)
+    m = n[:, None, None] + k * (a - a[:, None])  # (n, r, a)
+    unsupported, m = m < 0, np.maximum(m, 0)
+    alpha, s = np.zeros((n_max + 1, N, N)), np.empty((n_max + 1, N, N))
+    r_of, i, b = np.nonzero(np.arange(1, D + 1)[:, None] <= k * (a - a[:, None])[:, None])  # psi_{n+i+1} of column b
+    high = T[m[:, r_of], D + 1 + i[:, None] - k * (a - r_of[:, None]), a, b[:, None]] * ~unsupported[:, r_of]
+    order = np.lexsort((-np.linalg.norm(high[-1], axis=1), r_of))  # by row index, then largest first at n_max
+    high, r_of = high[:, order], r_of[order]
     for r in range(N):
-        ns = np.arange(min(n_max + 1, first_bad[0]))  # rows q < r are valid below first_bad
-        above = k * (N - 1 - r)  # psi indices n+1..n+above of row R^{-1} must vanish
-        m = ns[:, None] + k * (a - r)
-        unsupported, m = m < 0, np.maximum(m, 0)
-        o = D + np.arange(1, above + 1)[:, None] - k * (a - r)  # offset of psi_{n+i} from psi_{m_a}
-        high = T[m[:, None], np.minimum(o, 2 * D), a] * ((o <= 2 * D) & ~unsupported[:, None])[..., None]
-        earlier = ns[:, None] - k * (r - np.arange(r))  # rows q < r with the same eigenvalue
-        same = alpha[np.maximum(earlier, 0), np.arange(r)] * (earlier >= 0)[:, :, None]
-        rows = np.concatenate([high.transpose(0, 1, 3, 2).reshape(ns.size, above * N, N), same], axis=1)
+        earlier = n[:, None] - k * (r - a[:r])  # rows q < r with the same eigenvalue
+        same = alpha[np.maximum(earlier, 0), a[:r]] * (earlier >= 0)[:, :, None]
+        rows = np.concatenate([high[:, r_of == r], same], axis=1)
         scale = np.linalg.norm(rows, axis=(1, 2))
-        pins = np.eye(N) * (unsupported * np.where(scale > 0, scale, 1.0)[:, None])[:, :, None]
-        _, s, vh = np.linalg.svd(np.concatenate([rows, pins], axis=1), full_matrices=False)
-        pinned = unsupported.sum(axis=1)  # s[:, pinned:] are the supported block's singular values
-        top = s[np.arange(ns.size), pinned]
-        tol = top * np.maximum(above * N + (earlier >= 0).sum(axis=1), N - pinned) * np.finfo(float).eps
-        null_dim = ((s <= tol[:, None]) & (a >= pinned[:, None])).sum(axis=1)
-        v = vh[:, -1] * ~unsupported
-        c = np.einsum("ga,ga->g", T[m, D + k * (r - a), a, r], v)  # psi_n coefficient of column r of v R^{-1}
-        alpha[ns, r] = np.sign(c)[:, None] * v
-        lead[ns, r] = np.abs(c)
-        margin[ns, r] = np.divide(s[:, N - 2], top, out=np.ones(ns.size), where=(pinned < N - 1) & (top > 0))
-        bad = np.flatnonzero((null_dim != 1) | (c == 0.0))
-        if bad.size:  # before first_bad[0], so it is the first failure so far; later rows stop below it
-            n = int(bad[0])  # ns starts at 0
-            where = f"kind {spec.kind}, N={N}, nu={spec.nu}, n={n}, row {r}"
-            message = f"{where}: psi_{n} coefficient of the diagonal entry vanishes"
-            if null_dim[n] != 1:
-                message = (f"{where}: degree condition leaves a {null_dim[n]}-dimensional solution space, "
-                           f"expected 1 (singular values {s[n, pinned[n]:]})")
-            first_bad = (n, r)
-    if message is not None:
-        raise ConsistencyError(message)
-    return alpha, lead, margin
+        pins = np.eye(N) * (unsupported[:, r] * np.where(scale > 0, scale, 1.0)[:, None])[:, :, None]
+        _, s[:, r], vh = np.linalg.svd(np.concatenate([rows, pins], axis=1), full_matrices=False)
+        alpha[:, r] = vh[:, -1] * ~unsupported[:, r]
+    pinned = unsupported.sum(axis=2)  # s[n, r, pinned:] are the supported block's singular values
+    top = np.take_along_axis(s, pinned[..., None], axis=2)[..., 0]
+    tol = top * np.maximum(k * (N - 1 - a) * N + np.minimum(a, n[:, None] // k), N - pinned) * np.finfo(float).eps
+    null_dim = ((s <= tol[..., None]) & (a >= pinned[..., None])).sum(axis=2)
+    diag = T[m, D - k * (a - a[:, None]), a, a[:, None]]  # psi_n coefficient of column r of psi_m e_a R^{-1}
+    c = np.einsum("nra,nra->nr", diag, alpha)
+    alpha *= np.sign(c)[..., None]
+    margin = np.divide(s[..., N - 2], top, out=np.ones_like(top), where=(pinned < N - 1) & (top > 0))
+    bad = np.argwhere((null_dim != 1) | (c == 0.0))  # in n order, then row order
+    if bad.size:
+        n, r = bad[0]
+        where = f"kind {spec.kind}, N={N}, nu={spec.nu}, n={n}, row {r}"
+        if null_dim[n, r] != 1:
+            raise ConsistencyError(f"{where}: degree condition leaves a {null_dim[n, r]}-dimensional solution space, "
+                                   f"expected 1 (singular values {s[n, r, pinned[n, r]:]})")
+        raise ConsistencyError(f"{where}: psi_{n} coefficient of the diagonal entry vanishes")
+    return alpha, np.abs(c), margin
 
 
 def _finite(values, spec, n, name):
@@ -256,10 +256,10 @@ def build_family(spec, n_max):
     alpha.flags.writeable = False
 
     n = np.arange(n_max + 1)
-    log_scale = np.array([math.lgamma(j + 1) for j in n]) - n * math.log(2.0) + 0.5 * math.log(math.pi)
+    log_scale = np.array([math.lgamma(j + 1) for j in range(n_max + 1)]) - n * math.log(2.0) + 0.5 * math.log(math.pi)
     log_norms = log_scale[:, None] - 2.0 * np.log(lead)
     with np.errstate(over="ignore"):  # ||P_n||^2 leaves the double range near n = 190, ||P_n|| near n = 340
-        norms = [np.diag(v) for v in np.exp(log_norms)]
+        norms = list(np.where(np.eye(N, dtype=bool), np.exp(log_norms)[:, None], 0.0))  # diag(exp(log_norms[n]))
         root = np.exp(0.5 * log_norms)
     return FamilyContext(
         spec=spec,

@@ -63,17 +63,16 @@ def ladder(v, sign=1):
 def ladder_band(m_max, steps):
     """band[j, m, o]: the psi_{m+o-steps} coefficient of x^j psi_m, for j = 0..steps and m = 0..m_max.
 
-    By j ladder steps on the unit vectors; x^j psi_m reaches only psi_{m-j}..psi_{m+j}.
+    By the ladder recurrence on the band itself: x^j psi_m reaches only
+    psi_{m-j}..psi_{m+j}, and coefficients at negative psi indices stay 0.
     """
-    power = np.eye(m_max + 1)  # column m: psi-coefficients of x^j psi_m
-    padded = np.zeros((m_max + 1 + 2 * steps, m_max + 1))  # `steps` zero rows below index 0
-    cols = np.arange(m_max + 1)[:, None]
-    band = np.empty((steps + 1, m_max + 1, 2 * steps + 1))
-    for j in range(steps + 1):
-        if j:
-            power = ladder(power)
-        padded[steps : steps + power.shape[0]] = power
-        band[j] = padded[cols + np.arange(2 * steps + 1), cols]
+    q = np.arange(m_max + 1)[:, None] + np.arange(-steps, steps + 1)  # psi index of each entry
+    down, up = np.sqrt(np.maximum(q + 1, 0) / 2.0), np.sqrt(np.maximum(q, 0) / 2.0)  # from psi_{q+1}, psi_{q-1}
+    band = np.zeros((steps + 1, m_max + 1, 2 * steps + 1))
+    band[0, :, steps] = 1.0
+    for j in range(1, steps + 1):
+        band[j, :, :-1] = down[:, :-1] * band[j - 1, :, 1:]
+        band[j, :, 1:] += up[:, 1:] * band[j - 1, :, :-1]
     return band
 
 

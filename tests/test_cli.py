@@ -82,6 +82,30 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_check_loads_no_numpy_random_and_is_seeded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, matschroed.cli as cli; "
+        "code = cli.main(['check', '--kind', '2', '--N', '3', '--nu=0.8,-1.3', '--nmax', '6']); "
+        "print('numpy.random' in sys.modules, code)"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src), "MATSCHROED_SEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("5", "5", "6")
+    ]
+    assert outs[0].splitlines()[-1] == "False 0"
+    assert outs[0] == outs[1]
+    # the seed reaches the round-trip line, the only one that draws
+    roundtrip = [next(line for line in out.splitlines() if "expand_reconstruct" in line) for out in outs]
+    assert roundtrip[0] != roundtrip[2]
+
+
 def test_parse_grid():
     np.testing.assert_allclose(parse_grid("-1:1:0.5"), [-1.0, -0.5, 0.0, 0.5, 1.0])
     with pytest.raises(ValueError):

@@ -230,28 +230,29 @@ def test_function_table_is_a_read_only_sequence(which):
 
 
 def test_consistency_error_names_spec_and_index():
-    # with nu this large the small entries of the degree condition fall below
-    # the rounding of its large ones, so its numerical null space is 2-dimensional
-    with pytest.raises(ConsistencyError, match=r"kind 1, N=3, nu=\(100000000\.0, 100000000\.0\), n=0, row 0"):
-        build_family(FamilySpec(1, 3, [1e8, 1e8]), 0)
-    # the first failure in n order: row 1 fails at n=4, before row 0 fails at n=6
-    with pytest.raises(ConsistencyError, match=r"kind 2, N=8, nu=\(30\.0(, 30\.0){6}\), n=4, row 1:"):
-        build_family(FamilySpec(2, 8, (30.0,) * 7), 10)
-    # at large n (unit-size orthogonality rows under the rank tolerance) and at large nu
-    for kind, nu, n_max, where in [
-        (2, "0.8", 260, "n=248, row 1"),
-        (2, "5.0", 40, "n=37, row 1"),
-        (1, "12.0", 40, "n=20, row 0"),
+    for kind, N, nu, n_max, where in [
+        # with nu this large the small entries of the degree condition fall below
+        # the rounding of its large ones, so its numerical null space is 2-dimensional
+        (1, 3, 1e8, 0, "n=0, row 0"),
+        # the first failure in n order: row 1 fails at n=4, before row 0 fails at n=6
+        (2, 8, 30.0, 10, "n=4, row 1"),
+        # at large n (unit-size orthogonality rows under the rank tolerance) and at large nu
+        (2, 8, 0.8, 260, "n=248, row 1"),
+        (2, 8, 5.0, 40, "n=37, row 1"),
+        (1, 8, 12.0, 40, "n=20, row 0"),
     ]:
-        text = rf"kind {kind}, N=8, nu=\({nu}(, {nu}){{6}}\), {where}:".replace(".", r"\.")
-        with pytest.raises(ConsistencyError, match=text):
-            build_family(FamilySpec(kind, 8, (float(nu),) * 7), n_max)
+        spec = FamilySpec(kind, N, (nu,) * (N - 1))
+        with pytest.raises(Exception) as info:  # rows past the first failure are solved too: never a LinAlgError
+            build_family(spec, n_max)
+        assert info.type is ConsistencyError
+        assert str(info.value).startswith(f"kind {kind}, N={N}, nu={spec.nu}, {where}: ")
 
 
 @pytest.mark.parametrize("kind", [1, 2])
 def test_boundary_rows_match_a_plain_svd(kind):
-    # for n < kind * r, row r has columns with m = n + kind (a - r) < 0; the stacked
-    # solve pins them, so compare with one SVD of the supported columns alone
+    # every row against one SVD of its full constraint stack: every psi-coefficient above n,
+    # the rows `_table` drops as exactly 0 included, and only the supported columns (for
+    # n < kind * r, row r has columns with m = n + kind (a - r) < 0, which the stacked solve pins)
     N, n_max = 5, 12
     ctx = build_family(FamilySpec(kind, N, [0.8, -1.3, 0.6, 1.1]), n_max)
     n, r, a = np.ogrid[: n_max + 1, :N, :N]
@@ -260,8 +261,8 @@ def test_boundary_rows_match_a_plain_svd(kind):
     one = supported.sum(axis=2) == 1
     assert one.any() and np.all(ctx.null_margin[one] == 1.0)
     R_inv = ctx.right_factor_inv
-    for r in range(1, N):
-        for n in range(min(kind * r, n_max + 1)):
+    for r in range(N):
+        for n in range(n_max + 1):
             cols = [a for a in range(N) if n + kind * (a - r) >= 0]
             # psi-coefficients of psi_m(x) times row a of R^{-1}(x), m = n + kind (a - r)
             funcs = np.zeros((len(cols), n + 2 * kind * N, N))

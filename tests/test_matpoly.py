@@ -4,7 +4,7 @@ import pytest
 from matschroed.expansion import CoefficientExpansion, band_pattern, expand, inner_product, matrix_element, reconstruct
 from matschroed.families import FamilySpec, build_family, closed_form_N2, gamma_seq
 from matschroed.hermite import wave_function, wave_poly, wave_table
-from matschroed.matpoly import MatrixGaussian
+from matschroed.matpoly import MatrixGaussian, ladder, ladder_band
 from matschroed.operators import quadrature_transform, transform_apply
 from matschroed.structmat import phase_diag
 
@@ -139,6 +139,20 @@ def test_fourier_derivative_rule():
     rhs = f.fourier(1).poly_mul([0.0, -1j])
     for x in (-2.0, 0.3, 1.7):
         np.testing.assert_allclose(lhs(x), rhs(x), atol=1e-9)
+
+
+@pytest.mark.parametrize("m_max, steps", [(0, 0), (0, 3), (1, 4), (3, 1), (10, 2), (60, 14)])
+def test_ladder_band_matches_dense_ladder(m_max, steps):
+    # reference: x^j applied by `ladder` to the dense unit vectors, read along the band
+    band = ladder_band(m_max, steps)
+    assert band.shape == (steps + 1, m_max + 1, 2 * steps + 1)
+    power = np.eye(m_max + 1)  # column m: psi-coefficients of x^j psi_m
+    m = np.arange(m_max + 1)[:, None]
+    q = m + np.arange(-steps, steps + 1)  # psi index of band[j, m, o]
+    for j in range(steps + 1):
+        inside = (q >= 0) & (q < power.shape[0])
+        np.testing.assert_array_equal(band[j], np.where(inside, power[np.clip(q, 0, power.shape[0] - 1), m], 0.0))
+        power = ladder(power)
 
 
 def test_trailing_trim():
