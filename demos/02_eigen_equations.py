@@ -20,11 +20,12 @@ from matschroed.operators import (
 for spec in (FamilySpec(1, 3, [1.0, 0.5]), FamilySpec(2, 3, [1.0, 0.5])):
     ctx = build_family(spec, 8)
     print(f"--- family {spec.kind}, N = {spec.size}, nu = {spec.nu} ---")
+    # each residual is computed for every n = 0..8 at once; its arrays are indexed by n
+    s = schrodinger_residual(ctx)
+    f = fourier_eigen_residual(ctx)
     for n in (0, 4, 8):
-        s = schrodinger_residual(ctx, n)
-        f = fourier_eigen_residual(ctx, n)
-        print(f"n={n}: schrodinger residual {s.max_coeff_norm:.2e}, "
-              f"transform residual {f.max_coeff_norm:.2e}")
+        print(f"n={n}: schrodinger residual {s.relative[n]:.2e}, "
+              f"transform residual {f.relative[n]:.2e}")
 
     # the exact transform against brute-force numerical integration
     phi = ctx.phi[5]

@@ -13,14 +13,12 @@ from matschroed.operators import real_integral_residual, row_coverage, symmetry_
 spec1 = FamilySpec(1, 3, [0.8, -1.3])
 ctx1 = build_family(spec1, 6)
 print(f"--- family 1, N = 3 ---")
+rep = symmetry_residual(ctx1)  # every n = 0..6 at once, indexed by n
 for n in (0, 3, 6):
-    rep = symmetry_residual(ctx1, n)
-    print(f"n={n}: reflection symmetry residual {rep.max_coeff_norm:.2e}")
+    print(f"n={n}: reflection symmetry residual {rep.relative[n]:.2e}")
 for form in ("even", "odd"):
     for sign in (+1, -1):
-        worst = max(
-            real_integral_residual(ctx1, n, form, sign)[0].max_pointwise for n in range(7)
-        )
+        worst = real_integral_residual(ctx1, form, sign)[0].pointwise.max()
         print(f"real equation ({form}, sign {sign:+d}): worst residual {worst:.2e}")
 cos_rows, sin_rows, covered = row_coverage(3)
 print(f"row coverage: cos rows {sorted(cos_rows)}, sin rows {sorted(sin_rows)}, "
@@ -30,7 +28,7 @@ print()
 spec2 = FamilySpec(2, 3, [0.8, -1.3])
 ctx2 = build_family(spec2, 6)
 print(f"--- family 2, N = 3 ---")
+rep, max_imag = real_integral_residual(ctx2)  # cos kernel for even n, sin for odd n
 for n in range(7):
-    rep, max_imag = real_integral_residual(ctx2, n)
-    print(f"n={n}: {rep.variant} residual {rep.max_pointwise:.2e}, "
-          f"imaginary part {max_imag:.2e}")
+    print(f"n={n}: {rep.variant} (parity {n % 2}) residual {rep.pointwise[n]:.2e}, "
+          f"imaginary part {max_imag[n]:.2e}")

@@ -20,6 +20,7 @@ from .matpoly import MatrixGaussian
 from .operators import (
     POINTWISE_GRID,
     fourier_eigen_residual,
+    quadrature_residual,
     quadrature_transform,
     real_integral_residual,
     row_coverage,
@@ -116,9 +117,16 @@ def parse_grid(text):
 # -- check suite -------------------------------------------------------------
 
 
+def positive(value, flag):
+    """value, or a ValueError naming flag unless it is a positive finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} must be a positive finite number, got {value}")
+    return value
+
+
 def cmd_check(args):
     spec = family_spec(args)
-    tol, n_max = args.tol, args.nmax
+    tol, n_max = positive(args.tol, "--tol"), args.nmax
     ctx = build_family(spec, n_max)
     N = spec.size
     failures = 0
@@ -134,36 +142,20 @@ def cmd_check(args):
     ortho = float(np.max(np.abs(gram - np.eye(n_max + 1)[:, :, None, None] * np.eye(N))))
     line("orthonormality", ortho, tol)
 
-    line("schrodinger", max(schrodinger_residual(ctx, n).max_coeff_norm for n in range(n_max + 1)), tol)
-    line("fourier_eigen", max(fourier_eigen_residual(ctx, n).max_coeff_norm for n in range(n_max + 1)), tol)
-    symmetry = max(symmetry_residual(ctx, n, t).max_coeff_norm for n in range(n_max + 1) for t in ("phi", "poly"))
-    line("symmetry", symmetry, max(tol, 1e-12))
+    line("schrodinger", schrodinger_residual(ctx).relative.max(), tol)
+    line("fourier_eigen", fourier_eigen_residual(ctx).relative.max(), tol)
+    line("symmetry", max(symmetry_residual(ctx, t).relative.max() for t in ("phi", "poly")), max(tol, 1e-12))
 
     # residuals on the unnormalized Phi_n, relative to max(1, max |Phi_n|) at the points compared
-    def scale(n, xs):
-        return max(1.0, float(np.max(np.abs(ctx.phi[n](xs)))))
-
-    worst_real, worst_imag = 0.0, 0.0
     variants = [(form, sign) for form in ("even", "odd") for sign in (1, -1)] if spec.kind == 1 else [("even", 1)]
-    for n in range(n_max + 1):
-        size = scale(n, POINTWISE_GRID)
-        for form, sign in variants:
-            rep, mi = real_integral_residual(ctx, n, form, sign)
-            worst_real = max(worst_real, rep.max_coeff_norm / size)
-            worst_imag = max(worst_imag, mi)
-    line("real_integral", worst_real, max(tol, 1e-8))
-    line("real_integral_imag_part", worst_imag, max(tol, 1e-10))
+    reports = [real_integral_residual(ctx, form, sign) for form, sign in variants]
+    line("real_integral", max(rep.relative.max() for rep, _ in reports), max(tol, 1e-8))
+    line("real_integral_imag_part", max(imag.max() for _, imag in reports), max(tol, 1e-10))
     _, _, covered = row_coverage(N)
     line("real_integral_row_coverage", 0.0 if covered else 1.0, 0.5)
 
     # quadrature oracle vs exact transform at a few points
-    k = spec.kind
-    oracle = 0.0
-    xs = np.array([-3.0, -1.0, 0.0, 2.0])
-    for n in (0, min(3, n_max), n_max):
-        f = ctx.phi[n]
-        gap = np.max(np.abs(quadrature_transform(f, k, xs) - transform_apply(f, k)(xs)))
-        oracle = max(oracle, float(gap) / scale(n, xs))
+    oracle = quadrature_residual(ctx).relative[[0, min(3, n_max), n_max]].max()
     line("quadrature_oracle_vs_exact", oracle, max(tol, 1e-8))
 
     if N == 2:
@@ -189,7 +181,7 @@ def cmd_check(args):
     F = reconstruct(CoefficientExpansion(spec, n_max, coeffs), ctx)
     G = reconstruct(expand(F, ctx), ctx)
     line("expand_reconstruct_roundtrip", (F - G).max_abs() / F.max_abs(), tol)
-    H = transform_apply(transform_apply(F, k, 1), k, -1)
+    H = transform_apply(transform_apply(F, spec.kind, 1), spec.kind, -1)
     line("transform_roundtrip", (F - H).max_abs() / F.max_abs(), tol)
 
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
@@ -253,7 +245,7 @@ def cmd_expand(args):
 def cmd_matrix_elements(args):
     spec = family_spec(args)
     ctx = build_family(spec, args.nmax + args.k)
-    bp = band_pattern(ctx, args.k, args.nmax, args.tol)
+    bp = band_pattern(ctx, args.k, args.nmax, positive(args.tol, "--tol"))
     if args.out:
         bp.to_csv(args.out)
     for row in bp.mask.astype(int):

@@ -160,11 +160,9 @@ class BandMatrix:
     mask: np.ndarray = field(repr=False)
 
     def to_csv(self, path):
-        """Flattened matrix as CSV in _re/_im column pairs; the matrix is real, so every _im column is 0."""
-        size = self.flat.shape[0]
-        pairs = np.stack([self.flat.real, self.flat.imag], axis=-1).reshape(size, 2 * size)
-        header = ",".join(f"c{j}_{part}" for j in range(size) for part in ("re", "im"))
-        np.savetxt(path, pairs, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")
+        """Flattened matrix as CSV, one column c{j} per scalar column j; the matrix is real."""
+        header = ",".join(f"c{j}" for j in range(self.flat.shape[0]))
+        np.savetxt(path, self.flat, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")
 
 
 def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
@@ -174,8 +172,8 @@ def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
     the boolean mask marks entries of the flattened scalar matrix above the
     threshold.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < np.inf:  # also false for nan
+        raise ValueError(f"threshold must be a positive finite number, got {threshold}")
     if n_max is None:
         n_max = ctx.n_max
     if n_max > ctx.n_max:

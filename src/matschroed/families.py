@@ -193,8 +193,11 @@ def _table(spec, T, n_max):
         n, r = bad[0]
         where = f"kind {spec.kind}, N={N}, nu={spec.nu}, n={n}, row {r}"
         if null_dim[n, r] != 1:
+            sv, cut = s[n, r, pinned[n, r] :], tol[n, r]  # those at or below the tolerance are rounding noise
+            above = ", ".join(f"{v:.3e}" for v in sv[sv > cut])
             raise ConsistencyError(f"{where}: degree condition leaves a {null_dim[n, r]}-dimensional solution space, "
-                                   f"expected 1 (singular values {s[n, r, pinned[n, r]:]})")
+                                   f"expected 1 (rank tolerance {cut:.3e}; singular values above it [{above}], "
+                                   f"{np.count_nonzero(sv <= cut)} at or below it)")
         raise ConsistencyError(f"{where}: psi_{n} coefficient of the diagonal entry vanishes")
     return alpha, np.abs(c), margin
 

@@ -47,13 +47,20 @@ def poly_eval(p, xs):
     return out
 
 
-def ladder(v, sign=1):
+def ladder(v, sign=1, start=None):
     """Multiplication by x (sign=1) or d/dx (sign=-1) on psi-coefficients along axis 0.
 
     x psi_m = sqrt(m/2) psi_{m-1} + sqrt((m+1)/2) psi_{m+1}; d/dx flips the
-    sign of the second term.  The result has one more index.
+    sign of the second term.  The result has one more index.  v[j] is the
+    psi_j coefficient, or with start the psi_{start+j} one of a band window:
+    start is an integer array broadcast against v[0] (one start per stacked
+    function), coefficients at negative psi indices must be 0, and the
+    psi_{start-1} term of v[0] is dropped, so a window needs a zero first row.
     """
-    s = np.sqrt(np.arange(1, v.shape[0] + 1) / 2.0).reshape((-1,) + (1,) * (v.ndim - 1))
+    s = np.arange(1, v.shape[0] + 1)  # 1 + psi index of v[j]
+    if start is not None:
+        s = np.maximum(np.add.outer(s, start), 0)
+    s = np.sqrt(s / 2.0).reshape(s.shape + (1,) * (v.ndim - s.ndim))
     out = np.zeros((v.shape[0] + 1,) + v.shape[1:], dtype=v.dtype)
     out[:-2] = s[:-1] * v[1:]
     out[1:] += sign * s * v

@@ -1,16 +1,22 @@
-"""The benchmark's traced layer names must resolve in the library.
+"""The names the benchmark relies on must exist in the library and its output.
 
 `bench/tracing.py` wraps library functions and `MatrixGaussian` methods by
-name; a rename would only show up as a failing `bench/run.py --trace 1`.
+name, and `bench/run.py` reads `matschroed check` lines by name; a rename
+would only show up as a failing benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from matschroed.cli import main
 from matschroed.matpoly import MatrixGaussian
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -31,3 +37,22 @@ def test_traced_names_resolve():
             elif not callable(getattr(importlib.import_module(f"matschroed.{layer}"), name, None)):
                 missing.append(f"matschroed.{layer}.{name}")
     assert not missing, missing
+
+
+def run_constant(name):
+    """A literal constant of bench/run.py, read without importing it (the import sets BLAS variables)."""
+    tree = ast.parse((BENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_check_prints_the_benchmark_line_names(capsys, kind):
+    names = run_constant("CHECK_LINE_NAMES")
+    assert names
+    n_max = str(run_constant("CHECK_NMAX"))
+    assert main(["check", "--kind", str(kind), "--N", "3", "--nu=0.8,-1.3", "--nmax", n_max]) == 0
+    passed = {line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("PASS ")}
+    assert set(names) <= passed, set(names) - passed

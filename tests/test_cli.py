@@ -119,10 +119,14 @@ def test_parse_grid():
     [
         ["--kind", "1", "--N", "2", "--nu", "1.0"],
         ["--kind", "2", "--N", "3", "--nu", "0.8,-1.3"],
+        ["--kind", "1", "--N", "1"],
+        ["--kind", "2", "--N", "1", "--nmax", "0"],
+        ["--kind", "1", "--N", "3", "--nu", "0.8,-1.3", "--nmax", "0"],
+        ["--kind", "2", "--N", "2", "--nu", "1.0", "--nmax", "0"],
     ],
 )
 def test_check_passes(capsys, family_args):
-    rc = main(["check", *family_args, "--nmax", "6"])
+    rc = main(["check", "--nmax", "6", *family_args])  # a later --nmax in family_args wins
     out = capsys.readouterr().out
     assert rc == 0
     assert "FAIL" not in out
@@ -150,6 +154,13 @@ def test_usage_errors(capsys):
     assert main(["check", "--spec", "{not json"]) == 2
     assert main(["density", "--kind", "1", "--N", "2", "--nu", "1.0", "--entry", "9,9"]) == 2
     assert main(["density", "--kind", "1", "--N", "2", "--nu", "1.0", "--grid", "bad"]) == 2
+    # a tolerance that is not a positive finite number: every line would read PASS (inf) or FAIL (nan, 0, < 0)
+    capsys.readouterr()
+    for tol in ("inf", "nan", "0", "-1e-9"):
+        assert main(["check", "--kind", "1", "--N", "2", "--nu", "1.0", "--nmax", "2", f"--tol={tol}"]) == 2
+        assert main(["matrix-elements", "--kind", "1", "--N", "2", "--nu", "1.0", f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("--tol must be a positive finite number") == 2, err
 
 
 def test_density_csv(tmp_path):

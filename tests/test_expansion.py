@@ -159,15 +159,17 @@ def test_band_pattern_csv_roundtrip(tmp_path, contexts):
     bm = band_pattern(contexts[SPECS[0]], 2, n_max=3)
     path = tmp_path / "band.csv"
     bm.to_csv(path)
+    header = path.read_text().splitlines()[0]
+    assert header == ",".join(f"c{j}" for j in range(bm.flat.shape[0]))  # one real column each, no _im columns
     data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    back = data[:, 0::2] + 1j * data[:, 1::2]
-    np.testing.assert_allclose(back, bm.flat, atol=1e-15)
+    np.testing.assert_allclose(data, bm.flat, atol=1e-15)
 
 
 def test_band_pattern_validation(contexts):
     ctx = contexts[SPECS[0]]
-    with pytest.raises(ValueError):
-        band_pattern(ctx, 1, threshold=0.0)
+    for threshold in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="threshold must be a positive finite number"):
+            band_pattern(ctx, 1, threshold=threshold)
     with pytest.raises(ValueError):
         band_pattern(ctx, 1, n_max=99)
 

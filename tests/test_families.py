@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -246,6 +247,9 @@ def test_consistency_error_names_spec_and_index():
             build_family(spec, n_max)
         assert info.type is ConsistencyError
         assert str(info.value).startswith(f"kind {kind}, N={N}, nu={spec.nu}, {where}: ")
+        # the rank tolerance is printed, and the singular values under it, rounding noise, only counted
+        assert re.search(r"\(rank tolerance \d\.\d{3}e[+-]\d+; singular values above it \[.+\], \d+ at or below it\)$",
+                         str(info.value)), str(info.value)
 
 
 @pytest.mark.parametrize("kind", [1, 2])

@@ -6,15 +6,21 @@ from matschroed.families import FamilySpec, build_family
 from matschroed.hermite import wave_poly
 from matschroed.matpoly import MatrixGaussian
 from matschroed.operators import (
+    ORACLE_GRID,
+    POINTWISE_GRID,
+    TRAPEZOID_STEP,
     fourier_eigen_residual,
+    potential_shift,
+    quadrature_residual,
     quadrature_transform,
     real_integral_residual,
     row_coverage,
+    schrodinger_apply,
     schrodinger_residual,
     symmetry_residual,
     transform_apply,
 )
-from matschroed.structmat import phase_diag
+from matschroed.structmat import phase_diag, trig_diag
 
 SPECS = [
     FamilySpec(1, 2, [1.0]),
@@ -32,25 +38,21 @@ def contexts():
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 def test_schrodinger_eigen_equation(contexts, spec):
-    ctx = contexts[spec]
-    for n in range(9):
-        rep = schrodinger_residual(ctx, n)
-        assert rep.passed(1e-9), (rep.variant, rep.n, rep.max_coeff_norm)
+    rep = schrodinger_residual(contexts[spec])
+    assert rep.relative.shape == rep.pointwise.shape == (9,)
+    assert rep.passed(1e-9).all(), (rep.variant, rep.relative)
 
 
 def test_schrodinger_scalar_case():
     # N = 1 reduces to the classical harmonic oscillator equation
     ctx = build_family(FamilySpec(1, 1, []), 5)
-    for n in range(6):
-        assert schrodinger_residual(ctx, n).passed(1e-11)
+    assert schrodinger_residual(ctx).passed(1e-11).all()
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 def test_fourier_eigen_equation(contexts, spec):
-    ctx = contexts[spec]
-    for n in range(9):
-        rep = fourier_eigen_residual(ctx, n)
-        assert rep.passed(1e-9), (rep.variant, rep.n, rep.max_coeff_norm)
+    rep = fourier_eigen_residual(contexts[spec])
+    assert rep.passed(1e-9).all(), (rep.variant, rep.relative)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -69,42 +71,37 @@ def test_fourier_eigen_against_quadrature(contexts, spec):
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 @pytest.mark.parametrize("target", ["phi", "poly"])
 def test_reflection_symmetry(contexts, spec, target):
-    ctx = contexts[spec]
-    for n in range(9):
-        rep = symmetry_residual(ctx, n, target=target)
-        assert rep.passed(1e-12), (rep.variant, rep.n, rep.max_coeff_norm)
+    rep = symmetry_residual(contexts[spec], target=target)
+    assert rep.relative.shape == (9,)
+    assert rep.passed(1e-12).all(), (rep.variant, rep.relative)
 
 
 def test_symmetry_bad_target():
     ctx = build_family(FamilySpec(1, 2, [1.0]), 0)
     with pytest.raises(ValueError):
-        symmetry_residual(ctx, 0, target="bogus")
+        symmetry_residual(ctx, target="bogus")
 
 
 @pytest.mark.parametrize("spec", [SPECS[0], SPECS[1], SPECS[2]], ids=str)
 @pytest.mark.parametrize("form", ["even", "odd"])
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_real_integral_equations_family1(contexts, spec, form, sign):
-    ctx = contexts[spec]
-    for n in range(9):
-        rep, max_imag = real_integral_residual(ctx, n, form=form, sign=sign)
-        assert rep.max_pointwise < 1e-8, (rep.variant, rep.n, rep.max_pointwise)
-        assert max_imag < 1e-10
+    rep, max_imag = real_integral_residual(contexts[spec], form=form, sign=sign)
+    assert np.all(rep.pointwise < 1e-8), (rep.variant, rep.pointwise)
+    assert np.all(max_imag < 1e-10)
 
 
 @pytest.mark.parametrize("spec", [SPECS[3], SPECS[4]], ids=str)
 def test_real_integral_equations_family2(contexts, spec):
-    ctx = contexts[spec]
-    for n in range(9):
-        rep, max_imag = real_integral_residual(ctx, n)
-        assert rep.max_pointwise < 1e-8, (rep.variant, rep.n, rep.max_pointwise)
-        assert max_imag < 1e-10
+    rep, max_imag = real_integral_residual(contexts[spec])
+    assert np.all(rep.pointwise < 1e-8), (rep.variant, rep.pointwise)
+    assert np.all(max_imag < 1e-10)
 
 
 def test_real_integral_bad_form():
     ctx = build_family(FamilySpec(1, 2, [1.0]), 0)
     with pytest.raises(ValueError):
-        real_integral_residual(ctx, 0, form="bogus")
+        real_integral_residual(ctx, form="bogus")
 
 
 @pytest.mark.parametrize("N", range(1, 7))
@@ -139,3 +136,114 @@ def test_quadrature_oracle_converges(monkeypatch):
         errors.append(float(np.max(np.abs(quadrature_transform(psi, 0, xs) - psi(xs)))))
     assert all(a > b for a, b in zip(errors, errors[1:])), errors
     assert errors[-1] < 1e-12
+
+
+# -- the per-n MatrixGaussian algebra, as the reference for the batched residuals
+
+
+def reference_lines(ctx, n):
+    """Every batched line at index n, from Phi_n = ctx.phi[n] alone: {name: (relative, pointwise, scale)}.
+
+    A coefficient-space line is relative to max |coefficient| of its function
+    (scale None); a pointwise one to scale = max(1, max |Phi_n|) at its points.
+    """
+    k, N = ctx.spec.kind, ctx.size
+    phi = ctx.phi[n]
+    lines = {}
+
+    def coefficient_line(name, residual, f):
+        lines[name] = (residual.max_abs() / f.max_abs(), float(np.max(np.abs(residual(POINTWISE_GRID)))), None)
+
+    c, J = potential_shift(k), ctx.structured.J
+    coefficient_line("schrodinger", schrodinger_apply(phi, J, c) + phi.left_mul((2 * n + 1) * np.eye(N) + c * J), phi)
+    coefficient_line("fourier", transform_apply(phi, k) - phi.left_mul((1j) ** n * phase_diag(N, k)), phi)
+    for target, f in (("phi", phi), ("poly", MatrixGaussian.from_poly(ctx.pn[n]))):
+        refl = f.reflect().scale((-1.0) ** n)
+        if k == 1:
+            refl = refl.left_mul(phase_diag(N, 2)).right_mul(phase_diag(N, 2))
+        coefficient_line(f"symmetry_{target}", f - refl, f)
+
+    t = operators._trapezoid_nodes(phi)
+    vals, xs = phi(t), POINTWISE_GRID
+    scale = max(1.0, float(np.max(np.abs(phi(xs)))))
+
+    def integral(kernel):
+        return TRAPEZOID_STEP * np.einsum("xi,iab->xab", kernel(np.outer(xs, t)), vals)
+
+    E, I = phase_diag(N, 2).real, np.eye(N)
+    phi_vals = phi(xs)
+    if k == 2:
+        lhs = E @ phi_vals
+        kernel = np.cos if n % 2 == 0 else np.sin
+        rhs = ((-1.0) ** (n // 2) / np.sqrt(2.0 * np.pi)) * integral(kernel) @ E
+        sides = {("even", 1): (lhs, rhs)}
+    else:
+        sides = {}
+        for s in (1.0, -1.0):
+            Cp, Cm = trig_diag(N, "cos"), trig_diag(N, "sin")
+            right = Cp if s > 0 else Cm
+            lhs = (E + s * I) @ phi_vals @ right
+            rhs = right @ integral(np.cos if n % 2 == 0 else np.sin) @ (E + s * I)
+            sides["even", s] = (lhs, ((-1.0) ** (n // 2) / np.sqrt(2.0 * np.pi)) * rhs)
+            lhs = (E + s * I) @ phi_vals @ (Cm if s > 0 else Cp)
+            rhs = (Cp if s > 0 else Cm) @ integral(np.cos if (n + 1) % 2 == 0 else np.sin) @ (E - s * I)
+            sides["odd", s] = (lhs, (s * (-1.0) ** ((n + 1) // 2) / np.sqrt(2.0 * np.pi)) * rhs)
+    for (form, s), (lhs, rhs) in sides.items():
+        resid = float(np.max(np.abs(lhs - rhs)))
+        lines[f"real_{form}_{s:+.0f}"] = (resid / scale, resid, scale)
+        imag = max(float(np.max(np.abs(np.imag(lhs)))), float(np.max(np.abs(np.imag(rhs)))))
+        lines[f"imag_{form}_{s:+.0f}"] = (imag, imag, None)
+
+    gap = float(np.max(np.abs(quadrature_transform(phi, k, ORACLE_GRID) - transform_apply(phi, k)(ORACLE_GRID))))
+    oracle_scale = max(1.0, float(np.max(np.abs(phi(ORACLE_GRID)))))
+    lines["oracle"] = (gap / oracle_scale, gap, oracle_scale)
+    return lines
+
+
+def batched_lines(ctx):
+    """The same lines from the whole-family residuals: {name: (relative[n], pointwise[n])}."""
+    reports = {
+        "schrodinger": schrodinger_residual(ctx),
+        "fourier": fourier_eigen_residual(ctx),
+        "symmetry_phi": symmetry_residual(ctx, "phi"),
+        "symmetry_poly": symmetry_residual(ctx, "poly"),
+        "oracle": quadrature_residual(ctx),
+    }
+    lines = {name: (rep.relative, rep.pointwise) for name, rep in reports.items()}
+    variants = [("even", 1), ("even", -1), ("odd", 1), ("odd", -1)] if ctx.spec.kind == 1 else [("even", 1)]
+    for form, s in variants:
+        rep, imag = real_integral_residual(ctx, form, s)
+        lines[f"real_{form}_{s:+.0f}"] = (rep.relative, rep.pointwise)
+        lines[f"imag_{form}_{s:+.0f}"] = (imag, imag)
+    return lines
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 10])
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_batched_residuals_match_the_per_n_algebra(monkeypatch, kind, N, n_max):
+    ctx = build_family(FamilySpec(kind, N, [0.8, -1.3, 0.6, 1.1][: N - 1]), n_max)
+    batched = batched_lines(ctx)
+    for n in range(n_max + 1):
+        reference = reference_lines(ctx, n)
+        assert reference.keys() == batched.keys()
+        for name, (relative, pointwise, scale) in reference.items():
+            got = batched[name][0][n], batched[name][1][n]
+            assert len(batched[name][0]) == n_max + 1
+            assert abs(got[0] - relative) <= 1e-14, (name, n, got[0], relative)
+            assert abs(got[1] - pointwise) <= 1e-14 * max(1.0, scale or 1.0), (name, n, got[1], pointwise)
+            if scale is not None:  # the same size, not just a residual near 0 either way
+                assert got[0] * scale == pytest.approx(got[1], rel=1e-12, abs=0), (name, n, got, scale)
+    # P_n passes through the Horner scheme in groups of STACK_BUDGET entries; one function per group gives the same
+    poly = symmetry_residual(ctx, "poly")
+    monkeypatch.setattr(operators, "STACK_BUDGET", 1)
+    one_by_one = symmetry_residual(ctx, "poly")
+    np.testing.assert_array_equal(one_by_one.relative, poly.relative)
+    np.testing.assert_array_equal(one_by_one.pointwise, poly.pointwise)
+
+
+def test_residuals_past_the_double_range_name_the_index():
+    # Phi_n reaches ~1e307 near n = 339 at N = 2; its second derivative leaves the double range
+    ctx = build_family(FamilySpec(1, 2, [1.0]), 340)
+    with pytest.raises(ValueError, match=r"^kind 1, N=2, nu=\(1.0,\), n=339: the schrodinger_kind1 residual"):
+        schrodinger_residual(ctx)
