@@ -21,7 +21,7 @@ from .expansion import (
     matrix_element,
     reconstruct,
 )
-from .hermite import QuadratureRule, gauss_hermite, hermite_phys, wave_function, wave_poly
+from .hermite import QuadratureRule, gauss_hermite, wave_function
 from .matpoly import MatrixGaussian
 from .structmat import StructuredPair, build_structured, nilpotent_series, phase_diag, trig_diag
 
@@ -45,12 +45,10 @@ __all__ = [
     "closed_form_N2",
     "gamma_seq",
     "gauss_hermite",
-    "hermite_phys",
     "nilpotent_series",
     "phase_diag",
     "trig_diag",
     "wave_function",
-    "wave_poly",
     "weight_eval",
 ]
 

@@ -159,13 +159,12 @@ def cmd_check(args):
     line("quadrature_oracle_vs_exact", oracle, max(tol, 1e-8))
 
     if N == 2:
-        g = gamma_seq(spec, n_max + 4)
-        closed = norms = 0.0
-        for n in range(n_max + 1):
-            closed = max(closed, (closed_form_N2(spec, n) - ctx.phi_tilde[n]).max_abs())
-            hi = g[n + 1] if spec.kind == 1 else g[n + 2]
-            expected = math.factorial(n) * np.sqrt(np.pi) / 2**n * np.diag([hi, 1.0 / g[n]])
-            norms = max(norms, float(np.max(np.abs(ctx.norms[n] - expected) / np.abs(expected).max())))
+        closed = max((closed_form_N2(spec, n) - ctx.phi_tilde[n]).max_abs() for n in range(n_max + 1))
+        # ||P_n||^2 = n! sqrt(pi) / 2^n diag(g_{n+kind}, 1 / g_n), compared in logs: n! leaves the double range
+        g, n = gamma_seq(spec, n_max + 4), np.arange(n_max + 1)
+        log_scale = np.array([math.lgamma(j + 1) for j in n]) - n * math.log(2.0) + 0.5 * math.log(math.pi)
+        log_expected = log_scale[:, None] + np.log(np.stack([g[n + spec.kind], 1.0 / g[n]], axis=1))
+        norms = float(np.abs(np.expm1(ctx.log_norms - log_expected)).max())  # relative error of each entry
         line("closed_form_N2", closed, max(tol, 1e-10))
         line("norms_N2", norms, max(tol, 1e-10))
 

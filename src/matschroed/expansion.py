@@ -3,8 +3,8 @@ matrix elements of multiplication by x^k, and band patterns.
 
 Functions are stored as psi-coefficients, so by Parseval every inner
 product is a sum of coefficient products and multiplication by x^k is k
-steps of the ladder operator; no quadrature is involved.  Only the weighted
-inner product of monomial matrix polynomials uses a Gauss-Hermite rule.
+steps of the ladder operator; no quadrature is involved, also not in the
+weighted inner product of the P_n, which multiplies by R in the psi basis.
 Expansion, reconstruction and band matrices read the family's table alpha
 directly: entry (r, a) of Phi-tilde_n is alpha[n, r, a] psi_{n+k(a-r)}, so
 each is one gather or scatter over alpha, with no Phi-tilde_n built.
@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import FamilyContext, FamilySpec, build_structured, right_factor_poly
-from .hermite import gauss_hermite
-from .matpoly import MatrixGaussian, degree_of, ladder, ladder_band, poly_eval, poly_times
+from .matpoly import MatrixGaussian, degree_of, ladder, ladder_band, poly_times
 
 # size, relative to the largest, below which a psi-coefficient of F R^{-1} counts as zero
 SPAN_RTOL = 1e-10
@@ -74,19 +73,18 @@ def inner_product(F: MatrixGaussian, G: MatrixGaussian):
     return _gram_blocks([F], [G])[0, 0]
 
 
-def inner_product_weighted(P, Q, spec: FamilySpec):
-    """<P, Q>_W = int P(x) W(x) Q(x)^* dx for matrix polynomials P, Q.
+def inner_product_weighted(P: MatrixGaussian, Q: MatrixGaussian, spec: FamilySpec):
+    """<P, Q>_W = int P(x) W(x) Q(x)^* dx for matrix polynomials P, Q, given as P(x) e^{-x^2/2} and Q(x) e^{-x^2/2}.
 
-    P and Q are monomial coefficient arrays (degree+1, N, N), such as the
-    `pn` of a family; the Gauss-Hermite rule is exact for the product.
+    The arguments are MatrixGaussians, such as the `pn` of a family.  W =
+    e^{-x^2} R R^T, so this is the Parseval inner product of P e^{-x^2/2} R
+    and Q e^{-x^2/2} R (R is real); pairing them avoids the cancellation
+    inside R R^T.
     """
+    if P.size != spec.size or Q.size != spec.size:
+        raise ValueError(f"sizes {P.size} and {Q.size} do not match the family's N={spec.size}")
     R = right_factor_poly(build_structured(spec.size, spec.nu), spec.kind)
-    deg = (P.shape[0] - 1) + (Q.shape[0] - 1) + 2 * (R.shape[0] - 1)
-    rule = gauss_hermite(deg // 2 + 8)
-    t, w = rule.nodes, rule.weights
-    # W = e^{-x^2} R R^T; pairing P R with Q R avoids the cancellation inside R R^T
-    Rt = poly_eval(R, t)
-    return np.einsum("i,iab,icb->ac", w, poly_eval(P, t) @ Rt, np.conj(poly_eval(Q, t) @ Rt))
+    return inner_product(MatrixGaussian(poly_times(P.coeffs, R)), MatrixGaussian(poly_times(Q.coeffs, R)))
 
 
 @dataclass(frozen=True)

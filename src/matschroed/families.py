@@ -10,9 +10,10 @@ m < 0.  Row r of the table alpha is the null vector of the linear condition
 deg(Phi-tilde_n e^{x^2/2} R^{-1}) <= n in the psi basis, where x is the
 ladder operator; it depends only on rows q < r, so building takes one stacked
 SVD per row index, over all n, of the constraints that do not vanish by
-degree, then one pass of signs and checks.  Phi-tilde_n, Phi_n and P_n
-(monomial coefficients) are made from alpha when first read; expansion,
-reconstruction and band matrices read alpha directly.
+degree, then one pass of signs and checks.  Phi-tilde_n, Phi_n and
+P_n e^{-x^2/2} = Phi_n R^{-1} are made from alpha when first read, all three
+as psi-coefficients; expansion, reconstruction and band matrices read alpha
+directly.
 """
 
 import functools
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import wave_polys
 from .matpoly import MatrixGaussian, ladder_band, poly_eval
 from .structmat import StructuredPair, build_structured, nilpotent_series
 
@@ -121,9 +121,10 @@ class FamilyContext:
     """Everything built for one family up to index n_max.
 
     alpha (n_max+1, N, N) is the read-only table of `_table`; phi_tilde, phi
-    and pn are LazyTables over it.  norms[n] = ||P_n||^2 is inf once it
-    leaves the double range (from n near 190 for N = 8); log_norms[n] holds
-    log ||P_n||^2, finite for every n.
+    and pn are LazyTables over it.  pn[n] is the MatrixGaussian of
+    P_n(x) e^{-x^2/2} on psi_0..psi_n, and pn[n].poly_at(x) gives P_n(x).
+    norms[n] = ||P_n||^2 is inf once it leaves the double range (from n near
+    190 for N = 8); log_norms[n] holds log ||P_n||^2, finite for every n.
     null_margin[n, r] is the second-smallest over the largest singular value
     of the degree condition of row r of Phi-tilde_n (1.0 when the row has a
     single unknown): near machine epsilon, the row is barely determined.
@@ -218,21 +219,19 @@ def _function(alpha, spec, scale, n):
     return MatrixGaussian(coeffs if scale is None else coeffs * _finite(scale[n], spec, n, "Phi_n")[:, None])
 
 
-def _poly(alpha, T, spec, root, batch, n):
-    """Monomial coefficients of P_n = Phi_n R^{-1} e^{x^2/2}; the first call puts every P_n in the list batch."""
-    if batch:
-        return _finite(batch[n], spec, n, "P_n")
-    n_max, N, D, k = alpha.shape[0] - 1, spec.size, T.shape[1] // 2, spec.kind
-    i, w, r, a = np.ogrid[: n_max + 1, : 2 * D + 1, :N, :N]
-    m, o = i + k * (a - r), w - D - k * (a - r)  # o: offset of psi_{i-2D+w} from psi_m
-    prod = T[np.maximum(m, 0), np.clip(o, 0, 2 * D), a]
-    prod *= ((m >= 0) & (o >= 0) & (o <= 2 * D))[..., None]
-    waves = wave_polys(n_max)  # column j: monomial coefficients of psi_j
-    with np.errstate(over="ignore", invalid="ignore"):  # past the double range; `_finite` raises on read
-        window = np.einsum("iwrab,ira->iwrb", prod, alpha) * root[:, None, :, None]  # psi_{i-2D+w} of Phi_i R^{-1}
-        parts = [window[j, -(j + 1) :].reshape(-1, N * N) for j in range(n_max + 1)]  # psi_{max(0, j-2D)}..psi_j
-        batch.extend((waves[: j + 1, j + 1 - len(p) : j + 1] @ p).reshape(j + 1, N, N) for j, p in enumerate(parts))
-    return _poly(alpha, T, spec, root, batch, n)
+def _poly(alpha, T, spec, root, window, n):
+    """P_n(x) e^{-x^2/2} = Phi_n R^{-1} on psi_0..psi_n; the first call puts every P_n's psi_{n-2D}..psi_n in window."""
+    if not window:
+        n_max, N, D, k = alpha.shape[0] - 1, spec.size, T.shape[1] // 2, spec.kind
+        i, w, r, a = np.ogrid[: n_max + 1, : 2 * D + 1, :N, :N]
+        m, o = i + k * (a - r), w - D - k * (a - r)  # o: offset of psi_{i-2D+w} from psi_m
+        prod = T[np.maximum(m, 0), np.clip(o, 0, 2 * D), a]
+        prod *= ((m >= 0) & (o >= 0) & (o <= 2 * D))[..., None]
+        with np.errstate(over="ignore", invalid="ignore"):  # past the double range; `_finite` raises on read
+            window.append(np.einsum("iwrab,ira->iwrb", prod, alpha) * root[:, None, :, None])
+    coeffs = np.zeros((n + 1, spec.size, spec.size))  # P_n has degree n
+    coeffs[max(0, n + 1 - window[0].shape[1]) :] = _finite(window[0][n, -(n + 1) :], spec, n, "P_n")
+    return MatrixGaussian(coeffs)
 
 
 def build_family(spec, n_max):
@@ -243,9 +242,10 @@ def build_family(spec, n_max):
     Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)), Phi_n =
     ||P_n|| Phi-tilde_n, and P_n, the polynomial part of Phi_n R^{-1}
     e^{x^2/2}, has a unit-diagonal leading coefficient.  phi_tilde[n] and
-    phi[n] are made on first read; the first pn read makes every P_n in one
-    batch.  Reading phi[n] or pn[n] raises ValueError once it leaves the
-    double range (for N = 2, phi from n near 340 and pn from n near 330).
+    phi[n] are made on first read; the first pn read makes the
+    psi-coefficients of every P_n e^{-x^2/2} in one batch.  Reading phi[n] or
+    pn[n] raises ValueError once it leaves the double range (for N = 2, both
+    from n near 340).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

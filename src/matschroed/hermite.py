@@ -1,9 +1,11 @@
-"""Scalar Hermite polynomials, wave functions and Gauss-Hermite quadrature.
+"""Hermite wave functions and Gauss-Hermite quadrature.
 
-Conventions: H_n are the physicists' polynomials (H_{n+1} = 2x H_n - 2n H_{n-1})
-and psi_n(x) = (2^n n! sqrt(pi))^{-1/2} e^{-x^2/2} H_n(x) the normalized wave
-functions.  The quadrature rule integrates against the weight e^{-x^2} on R;
-it needs numpy only, is computed once per order and is shared read-only.
+Conventions: psi_n(x) = (2^n n! sqrt(pi))^{-1/2} e^{-x^2/2} H_n(x) are the
+normalized wave functions, H_n the physicists' Hermite polynomials
+(H_{n+1} = 2x H_n - 2n H_{n-1}); the library stores functions in the psi
+basis and never forms monomial coefficients of H_n or psi_n.  The quadrature
+rule integrates against the weight e^{-x^2} on R; it needs numpy only, is
+computed once per order and is shared read-only.
 
 `wave_table` keeps the last psi table it built, keyed on the points' values
 and the envelope flag, so evaluating many functions on one grid runs the
@@ -26,20 +28,6 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-
-
-def hermite_phys(n):
-    """Monomial coefficients (ascending) of the physicists' Hermite polynomial."""
-    if n == 0:
-        return np.array([1.0])
-    prev = np.array([1.0])
-    cur = np.array([0.0, 2.0])
-    for k in range(1, n):
-        nxt = np.zeros(k + 2)
-        nxt[1:] = 2.0 * cur
-        nxt[: k] -= 2.0 * k * prev
-        prev, cur = cur, nxt
-    return cur
 
 
 def wave_functions(n, x, envelope=True):
@@ -102,29 +90,6 @@ def wave_function(n, x):
     """psi_n(x) for scalar or array x; see `wave_functions`."""
     x = np.asarray(x, dtype=float)
     return wave_functions(n, x.ravel())[n].reshape(x.shape)
-
-
-def wave_polys(n):
-    """Monomial coefficients of the polynomial parts of psi_0..psi_n, shape (n+1, n+1).
-
-    Column j holds psi_j: psi_j(x) = (sum_i W[i, j] x^i) e^{-x^2/2}; computed
-    by the normalized recurrence of `wave_functions` on coefficient vectors.
-    """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    out = np.zeros((n + 1, n + 1))
-    out[0, 0] = np.pi ** -0.25
-    if n >= 1:
-        out[1, 1] = np.sqrt(2.0) * np.pi ** -0.25
-    for k in range(1, n):
-        out[1 : k + 2, k + 1] = np.sqrt(2.0 / (k + 1)) * out[: k + 1, k]
-        out[:k, k + 1] -= np.sqrt(k / (k + 1.0)) * out[:k, k - 1]
-    return out
-
-
-def wave_poly(n):
-    """Monomial coefficients of the polynomial part of psi_n; see `wave_polys`."""
-    return wave_polys(n)[:, n]
 
 
 @lru_cache(maxsize=None)

@@ -30,8 +30,6 @@ from .structmat import _I_POW, phase_diag, trig_diag
 POINTWISE_GRID = np.array([-3.0, -1.5, 0.0, 0.8, 2.2])
 ORACLE_GRID = np.array([-3.0, -1.0, 0.0, 2.0])  # where `check` compares the quadrature and exact transforms
 TRAPEZOID_STEP = 0.05
-# Entries per Horner step of the stacked P_n reflection: the P_n go through it in groups that fit.
-STACK_BUDGET = 1 << 16
 
 
 def _half_count(degree):
@@ -182,31 +180,22 @@ def symmetry_residual(ctx: FamilyContext, target="phi"):
 
     Family 1: f(x) = (-1)^n e^{i pi J} f(-x) e^{i pi J}.
     Family 2: f(x) = (-1)^n f(-x).
-    For target 'poly', f is P_n(x) e^{-x^2/2}, made from the monomial
-    coefficients of P_n by `MatrixGaussian.from_poly`'s Horner scheme in the
-    ladder operator, run on STACK_BUDGET-sized groups of n at once.
+    For target 'poly', f is P_n(x) e^{-x^2/2}, the psi-coefficients of
+    ctx.pn[n] in one stack over psi_{n-2D}..psi_n.
     """
+    n_max = ctx.n_max
     if target == "phi":
         f, start, _ = _phi_window(ctx)
-        signs = _reflection_signs(ctx, np.arange(f.shape[0])[:, None] + start + np.arange(ctx.n_max + 1))
-        return _report(ctx, f"symmetry_phi_kind{ctx.spec.kind}", *_sizes(f - signs * f, f, start))
-    if target != "poly":
+    elif target == "poly":
+        D2 = 2 * ctx.spec.kind * (ctx.size - 1)
+        start = np.arange(n_max + 1) - D2
+        f = np.zeros((D2 + 1, n_max + 1, ctx.size, ctx.size))
+        for n, p in enumerate(ctx.pn):  # coefficients of P_n sit at psi_{max(0, n-2D)}..psi_{p.degree}
+            f[max(0, -start[n]) : p.degree + 1 - start[n], n] = p.coeffs[max(0, start[n]) :]
+    else:
         raise ValueError("target must be 'phi' or 'poly'")
-    N, n_max = ctx.size, ctx.n_max
-    step = max(1, STACK_BUDGET // ((n_max + 1) * N * N))
-    parts = []
-    for lo in range(0, n_max + 1, step):
-        ns = range(lo, min(lo + step, n_max + 1))
-        P = np.zeros((ns[-1] + 1, len(ns), N, N))  # P[j, i]: monomial j of P_{lo+i}
-        for i, n in enumerate(ns):
-            P[: n + 1, i] = ctx.pn[n]
-        f = np.pi**0.25 * P[-1:]  # e^{-x^2/2} = pi^{1/4} psi_0
-        for j in range(P.shape[0] - 2, -1, -1):
-            f = ladder(f)
-            f[0] += np.pi**0.25 * P[j]
-        signs = _reflection_signs(ctx, np.arange(f.shape[0])[:, None] + np.array(ns))
-        parts.append(_sizes(f - signs * f, f, np.zeros(len(ns), dtype=int)))
-    return _report(ctx, f"symmetry_poly_kind{ctx.spec.kind}", *(np.concatenate(v) for v in zip(*parts)))
+    signs = _reflection_signs(ctx, np.arange(f.shape[0])[:, None] + start + np.arange(n_max + 1))
+    return _report(ctx, f"symmetry_{target}_kind{ctx.spec.kind}", *_sizes(f - signs * f, f, start))
 
 
 _kept = None  # (weak reference to ctx, TRAPEZOID_STEP, `_kernel_sums` of ctx)

@@ -9,9 +9,9 @@ import os
 import numpy as np
 import pytest
 
+from hermite_reference import hermite_phys
 from matschroed.expansion import expand, inner_product, matrix_element, band_pattern, reconstruct
-from matschroed.families import FamilySpec, build_family, closed_form_N2, gamma_seq, poly_eval
-from matschroed.hermite import hermite_phys
+from matschroed.families import FamilySpec, build_family, closed_form_N2, gamma_seq
 from matschroed.matpoly import MatrixGaussian
 from matschroed.operators import (
     fourier_eigen_residual,
@@ -136,7 +136,7 @@ def test_06_closed_forms_N2():
                         [-nu1 * b / g[n], (Hn + nu1 ** 2 * xs ** 2 * b) / g[n]],
                     ]
                 P = np.stack([np.stack(r, -1) for r in rows], -2) / 2.0 ** n
-                Pgot = poly_eval(ctx.pn[n], xs)
+                Pgot = ctx.pn[n].poly_at(xs)
                 scale = max(1.0, float(np.max(np.abs(P))))
                 worst_poly = max(worst_poly, float(np.max(np.abs(Pgot - P))) / scale)
 

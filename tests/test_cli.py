@@ -123,6 +123,9 @@ def test_parse_grid():
         ["--kind", "2", "--N", "1", "--nmax", "0"],
         ["--kind", "1", "--N", "3", "--nu", "0.8,-1.3", "--nmax", "0"],
         ["--kind", "2", "--N", "2", "--nu", "1.0", "--nmax", "0"],
+        # n! leaves the double range from n = 171; the norms_N2 line compares logs
+        *(["--kind", kind, "--N", "2", "--nu", "1.0", "--nmax", n_max]
+          for kind in "12" for n_max in ("175", "250", "330")),
     ],
 )
 def test_check_passes(capsys, family_args):

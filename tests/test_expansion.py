@@ -7,6 +7,7 @@ from matschroed.expansion import (
     band_pattern,
     expand,
     inner_product,
+    inner_product_weighted,
     matrix_element,
     reconstruct,
 )
@@ -327,6 +328,11 @@ def test_inner_product_size_mismatch():
         inner_product(
             MatrixGaussian.from_poly(np.eye(2)[None]), MatrixGaussian.from_poly(np.eye(3)[None])
         )
+    P = MatrixGaussian.from_poly(np.eye(2)[None])
+    with pytest.raises(ValueError, match=r"sizes 2 and 3 do not match the family's N=2"):
+        inner_product_weighted(P, MatrixGaussian.from_poly(np.eye(3)[None]), SPECS[0])
+    with pytest.raises(ValueError, match=r"sizes 2 and 2 do not match the family's N=3"):
+        inner_product_weighted(P, P, SPECS[1])
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from matschroed import families
+from hermite_reference import hermite_phys
 from matschroed.families import (
     ConsistencyError,
     FamilySpec,
@@ -100,7 +100,9 @@ def test_leading_coefficient_is_paper_normalizer(spec):
     ctx = build_family(spec, 6)
     for n in range(7):
         L = normalizer(ctx.structured.A, spec.kind, n)
-        np.testing.assert_allclose(ctx.pn[n][n], L, atol=1e-12)
+        # psi_n = pi^{-1/4} (2^n / n!)^{1/2} x^n e^{-x^2/2} + lower degrees, and P_n has degree n
+        lead = ctx.pn[n].coeffs[n] * np.pi**-0.25 * math.sqrt(2.0**n / math.factorial(n))
+        np.testing.assert_allclose(lead, L, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -121,6 +123,17 @@ def test_norms_diagonal_positive(spec):
         assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(G))
         assert np.all(np.real(np.diag(G)) > 0)
         np.testing.assert_allclose(np.diag(ctx.norms[n]), np.real(np.diag(G)), rtol=1e-10)
+
+
+@pytest.mark.parametrize("kind, N", [(1, 2), (2, 5)])
+def test_weighted_gram_of_pn_matches_norms_at_large_n(kind, N):
+    # <P_n, P_n>_W by Parseval on the psi-coefficients of P_n e^{-x^2/2} R, against ||P_n||^2 from the table
+    spec = FamilySpec(kind, N, [0.8] * (N - 1))
+    ctx = build_family(spec, 180)
+    for n in (40, 80, 120, 180):
+        G, norms = inner_product_weighted(ctx.pn[n], ctx.pn[n], spec), np.diag(ctx.norms[n])
+        np.testing.assert_allclose(np.diag(G), norms, rtol=1e-12, atol=0)
+        assert np.max(np.abs(G - np.diag(np.diag(G)))) <= 1e-12 * norms.max(), n
 
 
 @pytest.mark.parametrize("kind", [1, 2])
@@ -220,8 +233,8 @@ def test_function_table_is_a_read_only_sequence(which):
         ctx.alpha[0, 0, 0] = 2.0
     again = getattr(pickle.loads(pickle.dumps(ctx)), which)  # a context pickles, read items or not
     if which == "pn":
-        assert [p.shape for p in table] == [(n + 1, 3, 3) for n in range(7)]
-        np.testing.assert_array_equal(again[5], table[5])
+        assert [p.coeffs.shape for p in table] == [(n + 1, 3, 3) for n in range(7)]
+        np.testing.assert_array_equal(again[5].coeffs, table[5].coeffs)
         return
     np.testing.assert_array_equal(again[5].coeffs, table[5].coeffs)
     for n, f in enumerate(table):
@@ -296,27 +309,32 @@ def test_one_stacked_svd_per_row_index(monkeypatch):
 
 
 def test_pn_built_in_one_batch_on_first_read(monkeypatch):
-    calls = []
-    waves = families.wave_polys
-    monkeypatch.setattr(families, "wave_polys", lambda n: calls.append(n) or waves(n))
+    # every P_n is a psi-window of one product over all n, the window einsum below
+    calls, einsum = [], np.einsum
+
+    def counting(subscripts, *operands, **kw):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kw)
+
+    monkeypatch.setattr(np, "einsum", counting)
     ctx = build_family(FamilySpec(1, 3, [0.8, -1.3]), 8)
-    assert calls == []  # building makes no P_n
+    assert calls.count("iwrab,ira->iwrb") == 0  # building makes no P_n
     first = ctx.pn[5]
-    assert calls == [8]
-    assert all(p.shape == (n + 1, 3, 3) for n, p in enumerate(ctx.pn)) and ctx.pn[5] is first
-    assert calls == [8]
+    assert calls.count("iwrab,ira->iwrb") == 1
+    assert all(p.degree == n and p.size == 3 for n, p in enumerate(ctx.pn)) and ctx.pn[5] is first
+    assert calls.count("iwrab,ira->iwrb") == 1
 
 
 @pytest.mark.parametrize("kind", [1, 2])
 def test_no_overflow_up_to_n_max_400(kind):
-    # ||P_n|| leaves the double range near n = 340 and the monomial coefficients of P_n near n = 330
+    # ||P_n||, and with it Phi_n and the psi-coefficients of P_n, leave the double range near n = 340
     spec = FamilySpec(kind, 2, (0.8,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ctx = build_family(spec, 400)
         assert np.all(np.isfinite(ctx.alpha)) and np.all(np.isfinite(ctx.log_norms))
         assert np.isfinite(ctx.phi_tilde[400].coeffs).all()
-        assert np.isfinite(ctx.phi[300].coeffs).all() and np.isfinite(ctx.pn[300]).all()
+        assert np.isfinite(ctx.phi[300].coeffs).all() and np.isfinite(ctx.pn[300].coeffs).all()
         for n in (360, 400):
             for table, name in ((ctx.phi, "Phi_n"), (ctx.pn, "P_n")):
                 with pytest.raises(ValueError, match=rf"kind {kind}, N=2, nu=\(0\.8,\), n={n}: {name} leaves"):
@@ -349,10 +367,9 @@ def test_null_margin_flags_the_barely_determined_rows():
 
 def test_build_family_scalar_reduces_to_hermite():
     # N = 1: P_n must be H_n / 2^n, the monic orthogonal family for e^{-x^2}
-    from matschroed.hermite import hermite_phys
-
     ctx = build_family(FamilySpec(1, 1, []), 6)
+    xs = np.linspace(-3.0, 3.0, 13)
     for n in range(7):
         np.testing.assert_allclose(
-            ctx.pn[n][:, 0, 0], np.array(hermite_phys(n)) / 2.0 ** n, atol=1e-12
+            ctx.pn[n].poly_at(xs)[:, 0, 0], np.polyval(hermite_phys(n)[::-1], xs) / 2.0 ** n, atol=1e-12
         )

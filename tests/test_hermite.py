@@ -5,15 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from matschroed.hermite import (
-    TABLE_CACHE_BYTES,
-    gauss_hermite,
-    hermite_phys,
-    wave_function,
-    wave_functions,
-    wave_poly,
-    wave_table,
-)
+from hermite_reference import hermite_phys, wave_poly
+from matschroed.hermite import TABLE_CACHE_BYTES, gauss_hermite, wave_function, wave_functions, wave_table
 
 
 def test_phys_recurrence_pointwise():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from hermite_reference import wave_poly
 from matschroed.expansion import CoefficientExpansion, band_pattern, expand, inner_product, matrix_element, reconstruct
 from matschroed.families import FamilySpec, build_family, closed_form_N2, gamma_seq
-from matschroed.hermite import wave_function, wave_poly, wave_table
+from matschroed.hermite import wave_function, wave_table
 from matschroed.matpoly import MatrixGaussian, ladder, ladder_band
 from matschroed.operators import quadrature_transform, transform_apply
 from matschroed.structmat import phase_diag
