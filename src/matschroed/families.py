@@ -10,15 +10,31 @@ m < 0.  Row r of the table alpha is the null vector of the linear condition
 deg(Phi-tilde_n e^{x^2/2} R^{-1}) <= n in the psi basis, where x is the
 ladder operator; it depends only on rows q < r, so building takes one stacked
 SVD per row index, over all n, of the constraints that do not vanish by
-degree, then one pass of signs and checks.  Phi-tilde_n, Phi_n and
-P_n e^{-x^2/2} = Phi_n R^{-1} are made from alpha when first read, all three
-as psi-coefficients; expansion, reconstruction and band matrices read alpha
-directly.
+degree, then one pass of signs and checks.
+
+A build is split like a sparse direct solve: a symbolic plan, keyed on
+(kind, N, n_max) and never on nu, and a numeric pass.  The plan holds the
+ladder band, the flat offsets of the constraint rows and diagonal entries in
+the product table T = band R^{-1}, the row index owning each constraint row,
+the offsets of the rows of equal eigenvalue, the pinned counts and the
+rank-tolerance factors, all read-only.  Plans are kept, least recently used
+dropped first, up to PLAN_CACHE_BYTES (4 MiB: two plans of the largest
+supported shape, kind 2, N=8, n_max=400, at 1.6 MB; the 14 shapes of the
+benchmark's build workload take 0.43 MB).  The numeric pass forms T from
+R^{-1}, takes the constraint rows in one gather, orders them, runs the N
+stacked SVDs and signs and checks the rows; the SVDs are about two thirds of
+an N = 8 build at n_max 10 to 20 and four fifths at n_max 200 (one BLAS
+thread).  Phi-tilde_n, Phi_n and P_n e^{-x^2/2} = Phi_n R^{-1} are made from
+alpha when first read, all three as psi-coefficients (P_n from a T made again
+from the plan, so a family keeps no T); expansion, reconstruction and band
+matrices read alpha directly.
 """
 
 import functools
 import json
 import math
+import threading
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -147,7 +163,105 @@ class FamilyContext:
         return self.spec.size
 
 
-def _table(spec, T, n_max):
+# Bytes of shape plans that `_plan` keeps, least recently used dropped first:
+# two plans of the largest supported shape (kind 2, N=8, n_max=400, 1.6 MB
+# each).  A larger plan is made and used but not kept.
+PLAN_CACHE_BYTES = 4 << 20
+_plans, _plans_lock = OrderedDict(), threading.Lock()
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The part of a build that depends on (kind, N, n_max) only, never on nu; every array is read-only.
+
+    T is the product table of `_product_table`, D = k(N-1) and m = n + k(a-r).
+    Offsets into T count from the start of T[n] and are the same for every n:
+    high[c, a] locates the psi_{n+i} coefficient of column b of psi_m e_a
+    R^{-1} for each constraint row c = (r, i, b) with 1 <= i <= k(b-r), the
+    rows that can be nonzero; owner[c] = r, and the rows of r are
+    rows[r]:rows[r+1].  diag[r, a] locates the psi_n coefficient of column r.
+    same[r][q, a] locates alpha[n-k(r-q), q, a], the row q < r with the same
+    eigenvalue, from the start of row n of an alpha behind D zero rows.
+    unsupported[n, r, a] is m < 0 and pinned[n, r] the count of such a;
+    top[n, r] is the flat index of s[n, r, pinned[n, r]], the supported
+    block's largest singular value, and tol[n, r] the rank tolerance over it.
+    log_scale[n] = log(n! sqrt(pi) / 2^n).
+    """
+
+    band: np.ndarray
+    high: np.ndarray
+    owner: np.ndarray
+    rows: tuple
+    diag: np.ndarray
+    same: tuple
+    unsupported: np.ndarray
+    pinned: np.ndarray
+    top: np.ndarray
+    tol: np.ndarray
+    log_scale: np.ndarray
+
+    @property
+    def arrays(self):
+        return (self.band, self.high, self.owner, self.diag, *self.same, self.unsupported, self.pinned, self.top,
+                self.tol, self.log_scale)
+
+    @property
+    def nbytes(self):
+        return sum(x.nbytes for x in self.arrays)
+
+
+def _make_plan(k, N, n_max):
+    D, n, a = k * (N - 1), np.arange(n_max + 1), np.arange(N)
+    W = 2 * D + 1  # psi offsets per m in T
+    shift = k * (a - a[:, None])  # m - n of row r, column a
+    owner, i, b = np.nonzero(np.arange(1, D + 1)[:, None] <= shift[:, None])  # psi_{n+i+1} of column b
+    high = ((D + shift[owner]) * W + D + 1 + i[:, None] - shift[owner]) * N * N + a * N + b[:, None]
+    diag = ((D + shift) * W + D - shift) * N * N + a * N + a[:, None]
+    same = tuple((D - k * (r - a[:r, None])) * N * N + a[:r, None] * N + a for r in range(N))
+    unsupported = n[:, None, None] + shift < 0
+    pinned = unsupported.sum(axis=2)
+    width = np.maximum(k * (N - 1 - a) * N + np.minimum(a, n[:, None] // k), N - pinned)  # numpy's default tolerance
+    log_scale = np.array([math.lgamma(j + 1) for j in range(n_max + 1)]) - n * math.log(2.0) + 0.5 * math.log(math.pi)
+    band = np.moveaxis(ladder_band(n_max + D, D), 0, -1).reshape(-1, D + 1)  # T[D:] = band @ R^{-1}
+    rows = tuple(np.searchsorted(owner, np.arange(N + 1)).tolist())
+    top = (n[:, None] * N + a) * N + pinned
+    plan = _Plan(np.ascontiguousarray(band), high, owner, rows, diag, same, unsupported, pinned, top,
+                 width * np.finfo(float).eps, log_scale)
+    for x in plan.arrays:
+        x.flags.writeable = False
+    return plan
+
+
+def _plan(k, N, n_max):
+    """The plan of (k, N, n_max): kept in `_plans` up to PLAN_CACHE_BYTES, made on a miss."""
+    key = (k, N, n_max)
+    with _plans_lock:
+        if key in _plans:
+            _plans.move_to_end(key)  # most recently used last
+            return _plans[key]
+        plan = _make_plan(k, N, n_max)
+        if plan.nbytes <= PLAN_CACHE_BYTES:
+            _plans[key] = plan
+            while sum(p.nbytes for p in _plans.values()) > PLAN_CACHE_BYTES:
+                _plans.popitem(last=False)
+    return plan
+
+
+def _product_table(plan, R_inv):
+    """T[D + m, o, a, b]: psi_{m+o-D} coefficient of column b of psi_m(x) times row a of R^{-1}(x); 0 for m < 0."""
+    D, N = R_inv.shape[0] - 1, R_inv.shape[1]
+    T = np.empty((plan.band.shape[0] // (2 * D + 1) + D, 2 * D + 1, N, N))
+    T[:D] = 0.0
+    np.matmul(plan.band, R_inv.reshape(D + 1, N * N), out=T[D:].reshape(-1, N * N))
+    return T
+
+
+def _windows(x, count, width):
+    """Rows w[n] = x[n:].flat[:width] for n < count, as one view of the C-contiguous x."""
+    return np.ndarray((count, width), x.dtype, x, strides=(x[0].nbytes, x.itemsize))
+
+
+def _table(spec, T, plan):
     """The coefficient table alpha of Phi-tilde_0..n_max, its leading coefficients and null-space margins.
 
     Row r of Phi-tilde_n (entry a at psi_m, m = n + k(a - r)) is the unit
@@ -155,43 +269,47 @@ def _table(spec, T, n_max):
     rows q < r of earlier n that share its eigenvalue n + kJ_r, signed so the
     psi_n coefficient lead[n, r] of its column r is positive.  The rows
     psi_{n+i} of column b exist for i <= k(b - r) only (entry (a, b) of R^{-1}
-    has degree k(b - a)); they are gathered before the loop, largest first for a
-    QR accurate row by row, and each r takes one stacked SVD for all n.  A column
-    with m < 0 has zero constraints and one pinning row e_a at the Frobenius norm
-    of the rest (1 if 0); its singular value sorts first, and the rank tolerance
-    (numpy's default, from the supported block's width and unpruned height),
-    null-space check and margin read the supported block.  Signs (orthogonality
-    ignores them) and checks follow in one pass; a failing row feeds only rows
-    of larger n, so the smallest failing (n, row) raises ConsistencyError.
+    has degree k(b - a)); they are taken from T in one gather at the plan's
+    offsets, largest first at n_max for a QR accurate row by row, and each r
+    takes one stacked SVD for all n.  A column with m < 0 (a < r, n < kr) has
+    zero constraints and one pinning row e_a at the Frobenius norm of the rest
+    (1 if 0); its singular value sorts first, and the rank tolerance (numpy's
+    default, from the supported block's width and unpruned height), null-space
+    check and margin read the supported block.  Zero rows pad a matrix to N
+    rows.  Signs (orthogonality ignores them) and checks follow in one pass; a
+    failing row feeds only rows of larger n, so the smallest failing (n, row)
+    raises ConsistencyError.
     """
-    N, k = spec.size, spec.kind
-    D, n, a = k * (N - 1), np.arange(n_max + 1), np.arange(N)
-    m = n[:, None, None] + k * (a - a[:, None])  # (n, r, a)
-    unsupported, m = m < 0, np.maximum(m, 0)
-    alpha, s = np.zeros((n_max + 1, N, N)), np.empty((n_max + 1, N, N))
-    r_of, i, b = np.nonzero(np.arange(1, D + 1)[:, None] <= k * (a - a[:, None])[:, None])  # psi_{n+i+1} of column b
-    high = T[m[:, r_of], D + 1 + i[:, None] - k * (a - r_of[:, None]), a, b[:, None]] * ~unsupported[:, r_of]
-    order = np.lexsort((-np.linalg.norm(high[-1], axis=1), r_of))  # by row index, then largest first at n_max
-    high, r_of = high[:, order], r_of[order]
+    N, k, n_max = spec.size, spec.kind, plan.log_scale.size - 1
+    D, unsupported, pinned = k * (N - 1), plan.unsupported, plan.pinned
+    window = _windows(T, n_max + 1, T[: 2 * D + 1].size)
+    order = np.lexsort((-np.linalg.norm(window[-1, plan.high], axis=1), plan.owner))  # by row, largest first
+    high = window[:, plan.high[order]]
+    padded = np.zeros((D + n_max + 1, N, N))  # alpha behind D zero rows: the rows q < r of n < k(r - q)
+    alpha, known = padded[D:], _windows(padded, n_max + 1, (D + 1) * N * N)
+    s = np.empty((n_max + 1, N, N))
     for r in range(N):
-        earlier = n[:, None] - k * (r - a[:r])  # rows q < r with the same eigenvalue
-        same = alpha[np.maximum(earlier, 0), a[:r]] * (earlier >= 0)[:, :, None]
-        rows = np.concatenate([high[:, r_of == r], same], axis=1)
-        scale = np.linalg.norm(rows, axis=(1, 2))
-        pins = np.eye(N) * (unsupported[:, r] * np.where(scale > 0, scale, 1.0)[:, None])[:, :, None]
-        _, s[:, r], vh = np.linalg.svd(np.concatenate([rows, pins], axis=1), full_matrices=False)
+        h = plan.rows[r + 1] - plan.rows[r]
+        p = max(r, N - h - r)
+        M = np.zeros((n_max + 1, h + r + p, N))
+        M[:, :h] = high[:, plan.rows[r] : plan.rows[r + 1]]
+        M[:, h : h + r] = known[:, plan.same[r]]
+        if r:  # pin row j is e_j, nonzero for the unsupported columns j < r of n < kr
+            pinning = M[: k * r]
+            scale = np.linalg.norm(pinning[:, : h + r], axis=(1, 2))
+            pins = unsupported[: k * r, r, :p] * np.where(scale > 0, scale, 1.0)[:, None]
+            pinning[:, h + r :].reshape(len(pinning), -1)[:, :: N + 1] = pins
+        _, s[:, r], vh = np.linalg.svd(M, full_matrices=False)
         alpha[:, r] = vh[:, -1] * ~unsupported[:, r]
-    pinned = unsupported.sum(axis=2)  # s[n, r, pinned:] are the supported block's singular values
-    top = np.take_along_axis(s, pinned[..., None], axis=2)[..., 0]
-    tol = top * np.maximum(k * (N - 1 - a) * N + np.minimum(a, n[:, None] // k), N - pinned) * np.finfo(float).eps
-    null_dim = ((s <= tol[..., None]) & (a >= pinned[..., None])).sum(axis=2)
-    diag = T[m, D - k * (a - a[:, None]), a, a[:, None]]  # psi_n coefficient of column r of psi_m e_a R^{-1}
-    c = np.einsum("nra,nra->nr", diag, alpha)
+    top = s.take(plan.top)  # s[n, r, pinned:] are the supported block's singular values
+    tol = top * plan.tol
+    null_dim = ((s <= tol[..., None]) & ~unsupported).sum(axis=2)  # the unsupported columns come first
+    c = np.einsum("nra,nra->nr", window[:, plan.diag], alpha)  # psi_n coefficient of column r of Phi-tilde_n R^{-1}
     alpha *= np.sign(c)[..., None]
     margin = np.divide(s[..., N - 2], top, out=np.ones_like(top), where=(pinned < N - 1) & (top > 0))
-    bad = np.argwhere((null_dim != 1) | (c == 0.0))  # in n order, then row order
+    bad = np.flatnonzero((null_dim != 1) | (c == 0.0))  # in n order, then row order
     if bad.size:
-        n, r = bad[0]
+        n, r = divmod(int(bad[0]), N)
         where = f"kind {spec.kind}, N={N}, nu={spec.nu}, n={n}, row {r}"
         if null_dim[n, r] != 1:
             sv, cut = s[n, r, pinned[n, r] :], tol[n, r]  # those at or below the tolerance are rounding noise
@@ -219,14 +337,15 @@ def _function(alpha, spec, scale, n):
     return MatrixGaussian(coeffs if scale is None else coeffs * _finite(scale[n], spec, n, "Phi_n")[:, None])
 
 
-def _poly(alpha, T, spec, root, window, n):
+def _poly(alpha, R_inv, spec, root, window, n):
     """P_n(x) e^{-x^2/2} = Phi_n R^{-1} on psi_0..psi_n; the first call puts every P_n's psi_{n-2D}..psi_n in window."""
     if not window:
-        n_max, N, D, k = alpha.shape[0] - 1, spec.size, T.shape[1] // 2, spec.kind
+        n_max, N, k = alpha.shape[0] - 1, spec.size, spec.kind
+        D = k * (N - 1)
+        T = _product_table(_plan(k, N, n_max), R_inv)
         i, w, r, a = np.ogrid[: n_max + 1, : 2 * D + 1, :N, :N]
         m, o = i + k * (a - r), w - D - k * (a - r)  # o: offset of psi_{i-2D+w} from psi_m
-        prod = T[np.maximum(m, 0), np.clip(o, 0, 2 * D), a]
-        prod *= ((m >= 0) & (o >= 0) & (o <= 2 * D))[..., None]
+        prod = T[D + m, np.clip(o, 0, 2 * D), a] * ((o >= 0) & (o <= 2 * D))[..., None]
         with np.errstate(over="ignore", invalid="ignore"):  # past the double range; `_finite` raises on read
             window.append(np.einsum("iwrab,ira->iwrb", prod, alpha) * root[:, None, :, None])
     coeffs = np.zeros((n + 1, spec.size, spec.size))  # P_n has degree n
@@ -237,7 +356,8 @@ def _poly(alpha, T, spec, root, window, n):
 def build_family(spec, n_max):
     """Construct the orthonormal functions, their norms and polynomials up to n_max.
 
-    Building solves for the table alpha (`_table`, N stacked SVDs) and
+    Building takes the plan of (kind, N, n_max), made on the first build of
+    that shape, and solves for the table alpha (`_table`, N stacked SVDs) and
     nothing else.  With c_r the psi_n coefficient of column r of row r of
     Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)), Phi_n =
     ||P_n|| Phi-tilde_n, and P_n, the polynomial part of Phi_n R^{-1}
@@ -251,16 +371,12 @@ def build_family(spec, n_max):
         raise ValueError("n_max must be >= 0")
     pair = build_structured(spec.size, spec.nu)
     N, k = spec.size, spec.kind
-    D = k * (N - 1)
+    plan = _plan(k, N, n_max)
     R_inv = right_factor_poly(pair, k, sign=-1)
-    # T[m, o, a, b]: psi_{m+o-D} coefficient of column b of psi_m(x) times row a of R^{-1}(x)
-    T = np.tensordot(ladder_band(n_max + D, D), R_inv, axes=(0, 0))
-    alpha, lead, margin = _table(spec, T, n_max)
+    alpha, lead, margin = _table(spec, _product_table(plan, R_inv), plan)
     alpha.flags.writeable = False
 
-    n = np.arange(n_max + 1)
-    log_scale = np.array([math.lgamma(j + 1) for j in range(n_max + 1)]) - n * math.log(2.0) + 0.5 * math.log(math.pi)
-    log_norms = log_scale[:, None] - 2.0 * np.log(lead)
+    log_norms = plan.log_scale[:, None] - 2.0 * np.log(lead)
     with np.errstate(over="ignore"):  # ||P_n||^2 leaves the double range near n = 190, ||P_n|| near n = 340
         norms = list(np.where(np.eye(N, dtype=bool), np.exp(log_norms)[:, None], 0.0))  # diag(exp(log_norms[n]))
         root = np.exp(0.5 * log_norms)
@@ -270,7 +386,7 @@ def build_family(spec, n_max):
         n_max=n_max,
         right_factor_inv=R_inv,
         alpha=alpha,
-        pn=LazyTable(n_max + 1, functools.partial(_poly, alpha, T, spec, root, [])),
+        pn=LazyTable(n_max + 1, functools.partial(_poly, alpha, R_inv, spec, root, [])),
         norms=norms,
         phi=LazyTable(n_max + 1, functools.partial(_function, alpha, spec, root)),
         phi_tilde=LazyTable(n_max + 1, functools.partial(_function, alpha, spec, None)),

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import pickle
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from hermite_reference import hermite_phys
+from matschroed import families
 from matschroed.families import (
     ConsistencyError,
     FamilySpec,
@@ -299,13 +302,68 @@ def test_boundary_rows_match_a_plain_svd(kind):
 
 
 def test_one_stacked_svd_per_row_index(monkeypatch):
+    # row r stacks its h degree rows, r orthogonality rows and pin rows for the columns a < r only,
+    # padded to N rows so the SVD returns N singular values
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda M, *args, **kw: shapes.append(M.shape) or svd(M, *args, **kw))
-    for kind, N, n_max in [(1, 5, 12), (2, 8, 40), (1, 1, 3)]:
+    for kind, N, n_max in [(1, 5, 12), (2, 8, 40), (1, 1, 3), (1, 2, 5)]:
         shapes.clear()
         build_family(FamilySpec(kind, N, [0.8] * (N - 1)), n_max)
-        assert len(shapes) == N and all(shape[0] == n_max + 1 for shape in shapes)
+        h = [kind * (N - 1 - r) * (N - r) // 2 for r in range(N)]  # psi_{n+i} of column b, 1 <= i <= kind (b - r)
+        assert shapes == [(n_max + 1, h[r] + r + max(r, N - h[r] - r), N) for r in range(N)]
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_cold_and_warm_plan_give_identical_builds(kind):
+    spec = FamilySpec(kind, 5, [0.8, -1.3, 0.6, 1.1])
+    families._plans.clear()
+    cold = build_family(spec, 30)
+    assert (kind, 5, 30) in families._plans
+    warm = build_family(spec, 30)
+    for name in ("alpha", "log_norms", "null_margin"):
+        np.testing.assert_array_equal(getattr(warm, name), getattr(cold, name))
+
+
+def test_cached_plan_is_read_only():
+    build_family(FamilySpec(2, 3, [0.8, -1.3]), 6)
+    plan = families._plans[(2, 3, 6)]
+    values = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
+    arrays = [x for v in values for x in (v if isinstance(v, tuple) else (v,)) if isinstance(x, np.ndarray)]
+    assert len(arrays) == len(plan.arrays) > 10
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+
+
+def test_plan_cache_stays_within_its_bound():
+    # the bound holds two plans of the largest supported shape; a plan above it is used but not kept
+    assert 2 * families._make_plan(2, 8, 400).nbytes <= families.PLAN_CACHE_BYTES
+    families._plans.clear()
+    shapes = [(kind, N, n_max) for kind in (1, 2) for N in (2, 5, 8) for n_max in (10, 40, 150, 400)]
+    for shape in shapes:
+        plan = families._plan(*shape)
+        assert families._plan(*shape) is plan and next(reversed(families._plans)) == shape
+        assert sum(p.nbytes for p in families._plans.values()) <= families.PLAN_CACHE_BYTES
+    assert len(families._plans) < len(shapes)
+    kept = list(families._plans)
+    assert families._plan(2, 8, 1200).nbytes > families.PLAN_CACHE_BYTES
+    assert list(families._plans) == kept
+
+
+def test_context_keeps_no_product_table_alive():
+    # the product table (3.2 MB here) is made again from the plan on the first pn read
+    spec = FamilySpec(2, 8, (0.8,) * 7)
+    build_family(spec, 200)  # its plan is cached outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctx = build_family(spec, 200)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, kept
+    assert ctx.pn[200].degree == 200
 
 
 def test_pn_built_in_one_batch_on_first_read(monkeypatch):
