@@ -2,33 +2,34 @@
 matrix elements of multiplication by x^k, and band patterns.
 
 Functions are stored as psi-coefficients, so by Parseval every inner
-product is a sum of coefficient products and multiplication by x^k is k
-steps of the ladder operator; no quadrature is involved, also not in the
-weighted inner product of the P_n, which multiplies by R in the psi basis.
-Expansion, reconstruction and band matrices read the family's table alpha
-directly: entry (r, a) of Phi-tilde_n is alpha[n, r, a] psi_{n+k(a-r)}, so
-each is one gather or scatter over alpha, with no Phi-tilde_n built.
+product is a sum of coefficient products; no quadrature is involved, also
+not in the weighted inner product of the P_n, which multiplies by R in the
+psi basis.  Expansion, reconstruction and band matrices read the family's
+table alpha directly, at the indices of its shape plan: entry (r, a) of
+Phi-tilde_n is alpha[n, r, a] psi_{n+k(a-r)}, so each is one gather or
+scatter over alpha, with no Phi-tilde_n built.  A band matrix is stored as
+its 2k+1 block diagonals, and `matrix_element` reads the same product for
+its one n.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .families import FamilyContext, FamilySpec, build_structured, right_factor_poly
-from .matpoly import MatrixGaussian, degree_of, ladder, ladder_band, poly_times
+from .matpoly import MatrixGaussian, degree_of, poly_times
 
 # size, relative to the largest, below which a psi-coefficient of F R^{-1} counts as zero
 SPAN_RTOL = 1e-10
 
 
-def _rows(hs, length, k, dtype):
-    """psi-coefficients of x^k h (by ladder steps) for each h, entry row by entry row: (len(hs), N, length*N)."""
+def _rows(hs, length, dtype):
+    """psi-coefficients of each h, entry row by entry row: (len(hs), N, length*N)."""
     N = hs[0].size
-    out = np.zeros((length - k, len(hs), N, N), dtype=dtype)
+    out = np.zeros((length, len(hs), N, N), dtype=dtype)
     for i, h in enumerate(hs):
         out[: h.degree + 1, i] = h.coeffs
-    for _ in range(k):
-        out = ladder(out)
     return np.ascontiguousarray(out.transpose(1, 2, 0, 3).reshape(len(hs), N, length * N))  # a strided view at N = 1
 
 
@@ -45,26 +46,19 @@ def _conj_product(X, Y):
     return P[:, : Y.shape[0]] + 1j * P[:, Y.shape[0] :]
 
 
-def _support(ctx, n_max):
-    """psi index n + k(a - r) of entry (r, a) of Phi-tilde_n, shape (n_max+1, N, N); alpha is 0 where it is < 0."""
-    r = np.arange(ctx.size)
-    return np.arange(n_max + 1)[:, None, None] + ctx.spec.kind * (r - r[:, None])
+def _gram_blocks(fs, gs):
+    """Every block <f_n, g_m> = int f_n(x) g_m(x)^* dx, shape (len(fs), len(gs), N, N).
 
-
-def _gram_blocks(fs, gs, k=0):
-    """Every block <x^k f_n, g_m> = int x^k f_n(x) g_m(x)^* dx, shape (len(fs), len(gs), N, N).
-
-    The psi_j are orthonormal, so a block is sum_j (x^k f_n)_j (g_m)_j^*;
-    with the coefficients laid out by `_rows`, the blocks are the one
-    product X Y^*.
+    The psi_j are orthonormal, so a block is sum_j (f_n)_j (g_m)_j^*; with
+    the coefficients laid out by `_rows`, the blocks are the one product X Y^*.
     """
     N = fs[0].size
     if any(h.size != N for h in (*fs, *gs)):
         raise ValueError("size mismatch")
-    length = max(max(f.degree for f in fs) + k, max(g.degree for g in gs)) + 1
+    length = max(h.degree for h in (*fs, *gs)) + 1
     dtype = np.result_type(*{h.coeffs.dtype for h in (*fs, *gs)})  # complex if either side is
-    X = _rows(fs, length, k, dtype).reshape(len(fs) * N, -1)
-    Y = _rows(gs, length, 0, dtype).reshape(len(gs) * N, -1)
+    X = _rows(fs, length, dtype).reshape(len(fs) * N, -1)
+    Y = _rows(gs, length, dtype).reshape(len(gs) * N, -1)
     return _conj_product(X, Y).reshape(len(fs), N, len(gs), N).transpose(0, 2, 1, 3)
 
 
@@ -114,7 +108,7 @@ def expand(F: MatrixGaussian, ctx: FamilyContext, project=False):
                 "(pass project=True for a projection)"
             )
     # C_n[:, r] = sum_a F_{n+k(a-r)}[:, a] alpha[n, r, a]
-    m = _support(ctx, ctx.n_max)
+    m = ctx.plan.support  # psi index n + k(a - r) of entry (r, a); alpha is 0 where it is < 0
     gathered = F.coeffs[np.clip(m, 0, F.degree), :, np.arange(ctx.size)]  # (n, r, a, :); masked above F.degree
     coeffs = np.einsum("nrai,nra->nir", gathered, ctx.alpha * (m <= F.degree))
     return CoefficientExpansion(spec=ctx.spec, n_max=ctx.n_max, coeffs=coeffs)
@@ -128,34 +122,76 @@ def reconstruct(expansion: CoefficientExpansion, ctx: FamilyContext):
             f"expansion of {expansion.spec} with n_max={n_max} and coefficients of shape "
             f"{expansion.coeffs.shape} does not fit the family {ctx.spec} with n_max={ctx.n_max}"
         )
-    m = _support(ctx, n_max)
+    m = ctx.plan.support[: n_max + 1]
     out = np.zeros((m.max() + 1, N, N), dtype=np.result_type(expansion.coeffs, float))
     terms = np.einsum("nir,nra->nrai", expansion.coeffs, ctx.alpha[: n_max + 1])
     np.add.at(out, (np.maximum(m, 0)[..., None], np.arange(N), np.arange(N)[:, None]), terms)
     return MatrixGaussian(out)
 
 
+def _band(ctx, k, rows, n_max):
+    """Blocks (x^k I)_{n,n+d}, d = -k..k, of the n in the slice rows, (len, 2k+1, N, N), 0 past 0..n_max.
+
+    Entry (r, a) of x^k Phi-tilde_n is sum_o alpha[n, r, a] <x^k psi_i, psi_{i+o}> psi_{i+o}, i = n + kind(a - r);
+    entry (r, s) of block (n, n + d) takes the o that meets row s (plan.meets): one product per n.
+    """
+    plan, N, j = ctx.plan, ctx.size, k - 1
+    alpha, i, near = ctx.alpha[rows], plan.support[rows], plan.near[j][rows]
+    shifted = np.empty((len(i), 2 * k + 1, N, N))  # (n, o, r, a); `take` clips i < 0, where alpha is 0, to 0
+    np.multiply(alpha[:, None], plan.ladder[j].take(i, axis=1, mode="clip").transpose(1, 0, 2, 3), out=shifted)
+    right = ctx.alpha.take(near, axis=0) * (plan.keep[j][rows] & (near <= n_max))[..., None, None]  # (n, d, s, a)
+    pairs = shifted.reshape(len(i), -1, N) @ right.reshape(len(i), -1, N).transpose(0, 2, 1)  # 0 where dropped
+    pairs = pairs.reshape(len(i), 2 * k + 1, N, 2 * k + 1, N)  # (n, o, r, d, s)
+    d, o, r, s = plan.meets[j]
+    out = np.zeros((len(i), 2 * k + 1, N, N))
+    out[:, d, r, s] = pairs[:, o, r, d, s]
+    return out
+
+
 def matrix_element(ctx: FamilyContext, k, n, m):
-    """(x^k I)_{nm} = int x^k Phi-tilde_n(x) Phi-tilde_m(x)^* dx; exactly zero for |n - m| > k."""
+    """(x^k I)_{nm} = int x^k Phi-tilde_n(x) Phi-tilde_m(x)^* dx, read as `band_pattern` reads it; 0 for |n - m| > k."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     n, m = range(ctx.n_max + 1)[n], range(ctx.n_max + 1)[m]  # negative indices; IndexError out of range
-    if abs(n - m) > k:  # vanishes by degree counting; the Parseval sum would leave rounding
-        return np.zeros((ctx.size, ctx.size))  # the Parseval path's dtype: Phi-tilde_n is real
-    return _gram_blocks([ctx.phi_tilde[n]], [ctx.phi_tilde[m]], k)[0, 0]
+    if abs(n - m) > k:  # vanishes by degree counting
+        return np.zeros((ctx.size, ctx.size))
+    return _band(ctx, k, slice(n, n + 1), ctx.n_max)[0, m - n + k]
 
 
 @dataclass(frozen=True)
 class BandMatrix:
-    """Blocks (x^k I)_{nm} for n, m <= n_max, plus the flattened scalar view."""
+    """Multiplication by x^k in the orthonormal basis, stored as its band; every array is read-only.
+
+    band[n, d + k] = (x^k I)_{n,n+d}, d = -k..k, shape (n_max+1, 2k+1, N, N), 0 where n + d leaves 0..n_max:
+    O(n_max N^2) numbers.  The dense views take O((n_max N)^2) memory and are made on first access: blocks
+    (n_max+1, n_max+1, N, N), 0 off the band; flat, the same as one scalar matrix; mask, |flat| > threshold.
+    """
 
     spec: FamilySpec
     k: int
     n_max: int
     threshold: float
-    blocks: np.ndarray = field(repr=False)
-    flat: np.ndarray = field(repr=False)
-    mask: np.ndarray = field(repr=False)
+    band: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def flat(self):
+        n, N = self.band.shape[0], self.band.shape[-1]
+        flat = np.zeros((n * N, n * N))  # real, as alpha is
+        m = np.arange(n)[:, None] + np.arange(-self.k, self.k + 1)  # the block column of band[n, d + k]
+        rows, d = np.nonzero((m >= 0) & (m < n))
+        flat.reshape(n, N, n, N).transpose(0, 2, 1, 3)[rows, m[rows, d]] = self.band[rows, d]
+        flat.flags.writeable = False
+        return flat
+
+    @functools.cached_property
+    def blocks(self):
+        return self.flat.reshape(len(self.band), self.spec.size, -1, self.spec.size).transpose(0, 2, 1, 3)  # a view
+
+    @functools.cached_property
+    def mask(self):
+        mask = np.abs(self.flat) > self.threshold
+        mask.flags.writeable = False
+        return mask
 
     def to_csv(self, path):
         """Flattened matrix as CSV, one column c{j} per scalar column j; the matrix is real."""
@@ -164,11 +200,11 @@ class BandMatrix:
 
 
 def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
-    """Matrix of the homomorphism F -> x^k F in the orthonormal basis.
+    """Matrix of the homomorphism F -> x^k F in the orthonormal basis, as a BandMatrix.
 
     Blocks with |n - m| > k vanish by degree counting and are not computed;
-    the boolean mask marks entries of the flattened scalar matrix above the
-    threshold.
+    the band is one batched product over alpha at the plan's indices, and
+    the dense views are made only when read.
     """
     if not 0 < threshold < np.inf:  # also false for nan
         raise ValueError(f"threshold must be a positive finite number, got {threshold}")
@@ -178,28 +214,6 @@ def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
         raise ValueError("n_max exceeds context")
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    N, kind = ctx.size, ctx.spec.kind
-    alpha, i = ctx.alpha[: n_max + 1], _support(ctx, n_max)
-    # x^k Phi-tilde_n: entry (r, a) is sum_o alpha[n, r, a] <x^k psi_i, psi_{i+o}> psi_{i+o}, o = -k..k
-    E = ladder_band(i.max(), k)[k]
-    shifted = (alpha[..., None] * E[np.maximum(i, 0)]).transpose(0, 3, 1, 2).reshape(n_max + 1, 1, -1, N)
-    # block (n, m = n + d), entry (r, s): the sum over a at the shift o = d + kind(r - s) that meets
-    # psi_{m+kind(a-s)}; m is clipped into range and those blocks are dropped at the ends
-    n, r, o = np.arange(n_max + 1)[:, None], np.arange(N), np.arange(-k, k + 1)
-    m = n + o
-    keep = (m >= 0) & (m <= n_max)
-    meets = o[:, None, None] == o[:, None, None, None] + kind * (r[:, None] - r)  # (d, o, r, s)
-    pairs = shifted @ alpha[np.clip(m, 0, n_max)].transpose(0, 1, 3, 2)  # (n, d, (o, r), s)
-    near = np.einsum("ndors,dors->ndrs", pairs.reshape(n_max + 1, 2 * k + 1, 2 * k + 1, N, N), meets)
-    flat = np.zeros(((n_max + 1) * N, (n_max + 1) * N))  # real, as alpha is
-    blocks = flat.reshape(n_max + 1, N, n_max + 1, N).transpose(0, 2, 1, 3)  # a view: one dense array
-    blocks[np.broadcast_to(n, m.shape)[keep], m[keep]] = near[keep]
-    return BandMatrix(
-        spec=ctx.spec,
-        k=k,
-        n_max=n_max,
-        threshold=threshold,
-        blocks=blocks,
-        flat=flat,
-        mask=np.abs(flat) > threshold,
-    )
+    band = _band(ctx, k, slice(0, n_max + 1), n_max)
+    band.flags.writeable = False
+    return BandMatrix(spec=ctx.spec, k=k, n_max=n_max, threshold=threshold, band=band)

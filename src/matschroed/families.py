@@ -13,14 +13,12 @@ SVD per row index, over all n, of the constraints that do not vanish by
 degree, then one pass of signs and checks.
 
 A build is split like a sparse direct solve: a symbolic plan, keyed on
-(kind, N, n_max) and never on nu, and a numeric pass.  The plan holds the
-ladder band, the flat offsets of the constraint rows and diagonal entries in
-the product table T = band R^{-1}, the row index owning each constraint row,
-the offsets of the rows of equal eigenvalue, the pinned counts and the
-rank-tolerance factors, all read-only.  Plans are kept, least recently used
-dropped first, up to PLAN_CACHE_BYTES (4 MiB: two plans of the largest
-supported shape, kind 2, N=8, n_max=400, at 1.6 MB; the 14 shapes of the
-benchmark's build workload take 0.43 MB).  The numeric pass forms T from
+(kind, N, n_max) and never on nu, and a numeric pass.  The plan (`_Plan`)
+holds every index array the build and the band matrices of `expansion`
+need, read-only.  Plans are kept, least recently used dropped first, up to
+PLAN_CACHE_BYTES (4 MiB: two plans of the largest supported shape, kind 2,
+N=8, n_max=400, at 1.8 MB; the 14 shapes of the benchmark's build workload
+take 0.56 MB).  The numeric pass forms T = band R^{-1} from
 R^{-1}, takes the constraint rows in one gather, orders them, runs the N
 stacked SVDs and signs and checks the rows; the SVDs are about two thirds of
 an N = 8 build at n_max 10 to 20 and four fifths at n_max 200 (one BLAS
@@ -41,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matpoly import MatrixGaussian, ladder_band, poly_eval
-from .structmat import StructuredPair, build_structured, nilpotent_series
+from .structmat import StructuredPair, _taylor_sum, build_structured
 
 
 class ConsistencyError(RuntimeError):
@@ -94,7 +92,7 @@ def right_factor_poly(pair: StructuredPair, kind, sign=1):
     """Matrix polynomial part of the weight factor R = e^{Ax} or e^{Bx^2}; sign=-1 gives R^{-1}."""
     N, A = pair.size, pair.A
     if kind == 2:
-        A = A @ nilpotent_series([(-1) ** j * math.factorial(j) for j in range(N)], A)  # B = A (I+A)^{-1}
+        A = A @ _taylor_sum([(-1) ** j * math.factorial(j) for j in range(N)], A)  # B = A (I+A)^{-1}; A^N = 0
     coeffs = np.zeros((kind * (N - 1) + 1, N, N))
     term = np.eye(N)
     for j in range(N):
@@ -162,9 +160,14 @@ class FamilyContext:
     def size(self):
         return self.spec.size
 
+    @property
+    def plan(self):
+        """The shape plan of (kind, N, n_max), from the plan cache (made again if it was dropped)."""
+        return _plan(self.spec.kind, self.size, self.n_max)
+
 
 # Bytes of shape plans that `_plan` keeps, least recently used dropped first:
-# two plans of the largest supported shape (kind 2, N=8, n_max=400, 1.6 MB
+# two plans of the largest supported shape (kind 2, N=8, n_max=400, 1.8 MB
 # each).  A larger plan is made and used but not kept.
 PLAN_CACHE_BYTES = 4 << 20
 _plans, _plans_lock = OrderedDict(), threading.Lock()
@@ -182,10 +185,14 @@ class _Plan:
     rows[r]:rows[r+1].  diag[r, a] locates the psi_n coefficient of column r.
     same[r][q, a] locates alpha[n-k(r-q), q, a], the row q < r with the same
     eigenvalue, from the start of row n of an alpha behind D zero rows.
-    unsupported[n, r, a] is m < 0 and pinned[n, r] the count of such a;
-    top[n, r] is the flat index of s[n, r, pinned[n, r]], the supported
-    block's largest singular value, and tol[n, r] the rank tolerance over it.
-    log_scale[n] = log(n! sqrt(pi) / 2^n).
+    support[n, r, a] = m; unsupported[n, r, a] is m < 0 and pinned[n, r] the
+    count of such a; top[n, r] is the flat index of s[n, r, pinned[n, r]],
+    the supported block's largest singular value, and tol[n, r] the rank
+    tolerance over it.  log_scale[n] = log(n! sqrt(pi) / 2^n).  The band of
+    x^j reads index j - 1 (o, d = -j..j): ladder[j-1][o+j, i] = <x^j psi_i,
+    psi_{i+o}> for i <= n_max + D (also when D < j); near[j-1][n, d+j] = n + d
+    clipped into 0..n_max, keep where unclipped; meets[j-1] lists the (d+j,
+    o+j, r, s) with o = d + k(r - s), where x^j row r of n meets row s of n+d.
     """
 
     band: np.ndarray
@@ -199,11 +206,16 @@ class _Plan:
     top: np.ndarray
     tol: np.ndarray
     log_scale: np.ndarray
+    support: np.ndarray
+    ladder: tuple
+    near: tuple
+    keep: tuple
+    meets: tuple
 
     @property
     def arrays(self):
         return (self.band, self.high, self.owner, self.diag, *self.same, self.unsupported, self.pinned, self.top,
-                self.tol, self.log_scale)
+                self.tol, self.log_scale, self.support, *self.ladder, *self.near, *self.keep, *self.meets)
 
     @property
     def nbytes(self):
@@ -218,15 +230,21 @@ def _make_plan(k, N, n_max):
     high = ((D + shift[owner]) * W + D + 1 + i[:, None] - shift[owner]) * N * N + a * N + b[:, None]
     diag = ((D + shift) * W + D - shift) * N * N + a * N + a[:, None]
     same = tuple((D - k * (r - a[:r, None])) * N * N + a[:r, None] * N + a for r in range(N))
-    unsupported = n[:, None, None] + shift < 0
+    support = n[:, None, None] + shift
+    unsupported = support < 0
     pinned = unsupported.sum(axis=2)
     width = np.maximum(k * (N - 1 - a) * N + np.minimum(a, n[:, None] // k), N - pinned)  # numpy's default tolerance
     log_scale = np.array([math.lgamma(j + 1) for j in range(n_max + 1)]) - n * math.log(2.0) + 0.5 * math.log(math.pi)
     band = np.moveaxis(ladder_band(n_max + D, D), 0, -1).reshape(-1, D + 1)  # T[D:] = band @ R^{-1}
     rows = tuple(np.searchsorted(owner, np.arange(N + 1)).tolist())
     top = (n[:, None] * N + a) * N + pinned
+    o = [np.arange(-j, j + 1) for j in (1, 2)]
     plan = _Plan(np.ascontiguousarray(band), high, owner, rows, diag, same, unsupported, pinned, top,
-                 width * np.finfo(float).eps, log_scale)
+                 width * np.finfo(float).eps, log_scale, support,
+                 tuple(np.ascontiguousarray(ladder_band(n_max + D, j)[j].T) for j in (1, 2)),
+                 tuple(np.clip(n[:, None] + d, 0, n_max) for d in o),
+                 tuple((n[:, None] + d >= 0) & (n[:, None] + d <= n_max) for d in o),
+                 tuple(np.argwhere(d[:, None, None] == d[:, None, None, None] + k * (a[:, None] - a)).T for d in o))
     for x in plan.arrays:
         x.flags.writeable = False
     return plan

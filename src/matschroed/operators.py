@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansion import _support
 from .families import FamilyContext, _finite
 from .hermite import wave_functions, wave_table
 from .matpoly import TRIM_TOL, MatrixGaussian, ladder
@@ -103,7 +102,7 @@ def _phi_window(ctx, pad=0):
     start = np.arange(n_max + 1) - D - pad
     n, r, a = np.ogrid[: n_max + 1, :N, :N]
     w = np.zeros((2 * (D + pad) + 1, n_max + 1, N, N))
-    w[_support(ctx, n_max) - start[:, None, None], n, r, a] = ctx.alpha * root[:, :, None]
+    w[ctx.plan.support - start[:, None, None], n, r, a] = ctx.alpha * root[:, :, None]
     sizes = np.abs(w).max(axis=(2, 3))
     top = w.shape[0] - 1 - np.argmax((sizes > TRIM_TOL * sizes.max(axis=0))[::-1], axis=0)
     w[np.arange(w.shape[0])[:, None] > top] = 0.0

@@ -84,6 +84,12 @@ def nilpotent_series(taylor, A):
     power = np.linalg.matrix_power(A, N)
     if np.max(np.abs(power)) > NILPOTENCY_TOL:
         raise ValueError("matrix is not nilpotent (A^N != 0 within tolerance)")
+    return _taylor_sum(taylor, A)
+
+
+def _taylor_sum(taylor, A):
+    """sum_{j<N} taylor[j] A^j / j!, with no check: for an A known to be nilpotent, such as build_structured's."""
+    N = A.shape[0]
     out = np.zeros((N, N), dtype=np.result_type(A, np.asarray(taylor), float))
     term = np.eye(N)
     for j in range(N):

@@ -10,9 +10,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from matschroed.cli import main
+from matschroed.expansion import band_pattern
+from matschroed.families import FamilySpec, build_family
 from matschroed.matpoly import MatrixGaussian
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -56,3 +59,15 @@ def test_check_prints_the_benchmark_line_names(capsys, kind):
     assert main(["check", "--kind", str(kind), "--N", "3", "--nu=0.8,-1.3", "--nmax", n_max]) == 0
     passed = {line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("PASS ")}
     assert set(names) <= passed, set(names) - passed
+
+
+def test_band_matrix_serves_what_the_benchmark_reads():
+    # bench/run.py's band requests read bp.blocks[n, m] for |n - m| <= k and check that bp.flat is finite
+    for kind, N, n_max in run_constant("APPLY_FAMILIES"):
+        ctx = build_family(FamilySpec(kind, N, [0.8, -0.6, 0.9, 0.7, -0.5, 0.6, 0.8][: N - 1]), n_max)
+        for k in (1, 2):
+            bp = band_pattern(ctx, k)
+            assert bp.flat.shape == ((n_max + 1) * N,) * 2 and np.isfinite(bp.flat).all()
+            for n in range(n_max + 1):
+                for m in range(max(0, n - k), min(n_max, n + k) + 1):
+                    np.testing.assert_array_equal(bp.blocks[n, m], bp.band[n, m - n + k])

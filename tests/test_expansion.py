@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,11 @@ SPECS = [
 @pytest.fixture(scope="module")
 def contexts():
     return {spec: build_family(spec, 10) for spec in SPECS}
+
+
+def _times_x(hs, k):
+    """x^k h for each h, by the ladder operator (`poly_mul`)."""
+    return [h.poly_mul([0.0] * k + [1.0]) for h in hs]
 
 
 # -- closed-form oracle for N = 2 matrix elements ---------------------------
@@ -277,7 +284,7 @@ def _relative_gap(got, ref):
 )
 def test_alpha_paths_match_generic_gram(spec, n_max):
     # expand, reconstruct and band_pattern read the table alpha; the reference is
-    # the Parseval path `_gram_blocks` on the materialized Phi-tilde_n
+    # the Parseval path `_gram_blocks` on the materialized Phi-tilde_n (and x^k Phi-tilde_n)
     ctx = build_family(spec, n_max)
     phis, N = list(ctx.phi_tilde), spec.size
     rng = np.random.default_rng(34)
@@ -294,7 +301,7 @@ def test_alpha_paths_match_generic_gram(spec, n_max):
         reference = np.zeros_like(bm.blocks)
         for n in range(n_max + 1):  # each n against m = n-k..n+k
             lo, hi = max(0, n - k), min(n_max + 1, n + k + 1)
-            reference[n, lo:hi] = _gram_blocks([phis[n]], phis[lo:hi], k)[0]
+            reference[n, lo:hi] = _gram_blocks(_times_x([phis[n]], k), phis[lo:hi])[0]
         near = np.abs(np.arange(n_max + 1)[:, None] - np.arange(n_max + 1)) <= k
         assert not bm.blocks[~near].any()  # exactly 0 off the band
         assert _relative_gap(bm.blocks, reference) <= 1e-12, k
@@ -378,11 +385,77 @@ def test_real_gram_matches_complex_path(kind):
     fs = list(ctx.phi_tilde)
     cs = [MatrixGaussian(f.coeffs + 0j) for f in fs]
     for k in (0, 1, 2):
-        real, cplx = _gram_blocks(fs, fs, k), _gram_blocks(cs, cs, k)
+        real, cplx = _gram_blocks(_times_x(fs, k), fs), _gram_blocks(_times_x(cs, k), cs)
         assert real.dtype == np.float64 and cplx.dtype == np.complex128
         assert not cplx.imag.any()
         assert np.max(np.abs(real - cplx.real)) <= 1e-15 * np.max(np.abs(real)), k
     rng = np.random.default_rng(35)
     F = MatrixGaussian(rng.standard_normal((30, 5, 5)) + 1j * rng.standard_normal((30, 5, 5)))
-    np.testing.assert_array_equal(_gram_blocks([F], fs, 1), _gram_blocks([F], cs, 1))  # mixed: complex path
+    np.testing.assert_array_equal(_gram_blocks(_times_x([F], 1), fs), _gram_blocks(_times_x([F], 1), cs))  # mixed
     np.testing.assert_array_equal(_gram_blocks(fs, [F]), _gram_blocks(cs, [F]))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 5])  # N = 1: D = 0 < k, so the plan's ladder must still take k steps
+@pytest.mark.parametrize("k", [1, 2])
+def test_band_storage_and_dense_views(kind, N, k):
+    # the band against the Parseval blocks of x^k Phi-tilde_n, and every dense view against a dense
+    # matrix assembled here from the band, bit for bit
+    n_max = 9
+    ctx = build_family(FamilySpec(kind, N, np.linspace(0.8, -1.1, N - 1)), n_max)
+    phis = list(ctx.phi_tilde)
+    for top in (n_max, 6):  # a truncated band drops the blocks past its own n_max
+        bm = band_pattern(ctx, k, top)
+        assert bm.band.shape == (top + 1, 2 * k + 1, N, N) and bm.band.dtype == np.float64
+        dense = np.zeros((top + 1, top + 1, N, N))
+        for n in range(top + 1):
+            for d in range(-k, k + 1):
+                if 0 <= n + d <= top:
+                    ref = _gram_blocks(_times_x([phis[n]], k), [phis[n + d]])[0, 0]
+                    assert _relative_gap(bm.band[n, d + k], ref) <= 1e-12, (n, d)
+                    dense[n, n + d] = bm.band[n, d + k]
+                else:
+                    assert not bm.band[n, d + k].any(), (n, d)
+        flat = dense.transpose(0, 2, 1, 3).reshape(((top + 1) * N,) * 2)
+        assert bm.flat.tobytes() == flat.tobytes() and bm.flat.shape == flat.shape
+        assert bm.blocks.shape == dense.shape and np.ascontiguousarray(bm.blocks).tobytes() == dense.tobytes()
+        np.testing.assert_array_equal(bm.mask, np.abs(flat) > bm.threshold)
+        for view in (bm.band, bm.flat, bm.blocks, bm.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 1
+        assert bm.flat is bm.flat and bm.mask is bm.mask  # made once, on first access
+
+
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [
+        (FamilySpec(1, 1, []), 6),
+        (FamilySpec(2, 2, [1.0]), 9),
+        (FamilySpec(1, 5, [0.8, -1.3, 1.1, 0.6]), 12),
+        (FamilySpec(2, 5, [0.8, -1.3, 1.1, 0.6]), 12),
+        (FamilySpec(1, 8, [0.8, -0.6, 0.9, 0.7, -0.5, 0.6, 0.8]), 60),
+    ],
+    ids=str,
+)
+def test_matrix_element_is_the_band_block(spec, n_max):
+    ctx = build_family(spec, n_max)
+    for k in (1, 2):
+        blocks = band_pattern(ctx, k).blocks
+        for n in range(n_max + 1):
+            for m in range(max(0, n - k), min(n_max, n + k) + 1):
+                got = matrix_element(ctx, k, n, m)
+                assert got.dtype == np.float64 and np.array_equal(got, blocks[n, m]), (k, n, m)
+
+
+def test_band_pattern_at_n_max_400_keeps_no_dense_matrix():
+    # the dense flat and mask of this shape take 82 MB and 10 MB; the band takes 0.6 MB
+    ctx = build_family(FamilySpec(1, 8, (0.8,) * 7), 400)
+    band_pattern(ctx, 1)  # the plan is already cached by the build; this warms numpy's code paths
+    tracemalloc.start()
+    try:
+        bm = band_pattern(ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert bm.band.shape == (401, 3, 8, 8) and np.isfinite(bm.band).all()

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from matschroed.structmat import (
+    _taylor_sum,
     build_structured,
     nilpotent_series,
     phase_diag,
@@ -114,3 +117,18 @@ def test_nilpotent_series_exp_truncation():
 def test_nilpotent_series_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         nilpotent_series([1.0, 1.0], np.eye(2))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8])
+def test_shift_is_strictly_upper_triangular(N):
+    # what lets the build sum its series in A without nilpotent_series' check: A^N = 0
+    A = build_structured(N, np.linspace(-1.7, 2.3, N - 1)).A
+    assert not np.tril(A).any()
+    assert not np.linalg.matrix_power(A, N).any()
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8])
+def test_unchecked_series_matches_nilpotent_series(N):
+    A = build_structured(N, np.linspace(-1.7, 2.3, N - 1)).A
+    taylor = [(-1) ** j * math.factorial(j) for j in range(N)]  # (1 + x)^{-1}, as in B = A (I+A)^{-1}
+    np.testing.assert_array_equal(_taylor_sum(taylor, A), nilpotent_series(taylor, A))
