@@ -3,8 +3,9 @@
 Each function solves a matrix Schrodinger equation with potential
 x^2 I + 2J (family 1) or x^2 I + 4J (family 2), and is an eigenfunction of
 a Fourier-type integral transform with diagonal eigenvalue i^n i^{kJ}.
-Both identities are checked in exact coefficient algebra, and the transform
-is replayed through an independent trapezoidal quadrature.
+The Schrodinger equation is checked in coefficient algebra, the transform
+eigen-equation against an independent trapezoidal quadrature; the exact
+transform is replayed through the same quadrature.
 """
 
 import numpy as np

@@ -21,9 +21,7 @@ from .expansion import (
     matrix_element,
     reconstruct,
 )
-from .hermite import QuadratureRule, gauss_hermite, wave_function
 from .matpoly import MatrixGaussian
-from .structmat import StructuredPair, build_structured, nilpotent_series, phase_diag, trig_diag
 
 __all__ = [
     "BandMatrix",
@@ -38,17 +36,9 @@ __all__ = [
     "FamilyContext",
     "FamilySpec",
     "MatrixGaussian",
-    "QuadratureRule",
-    "StructuredPair",
     "build_family",
-    "build_structured",
     "closed_form_N2",
     "gamma_seq",
-    "gauss_hermite",
-    "nilpotent_series",
-    "phase_diag",
-    "trig_diag",
-    "wave_function",
     "weight_eval",
 ]
 

@@ -351,7 +351,7 @@ def _function(alpha, spec, scale, n):
     N, k = spec.size, spec.kind
     rows, cols = np.indices((N, N))
     coeffs = np.zeros((n + k * (N - 1) + 1, N, N))
-    coeffs[np.maximum(n + k * (cols - rows), 0), rows, cols] = alpha[n]  # 0 where m < 0
+    coeffs[np.maximum(_plan(k, N, alpha.shape[0] - 1).support[n], 0), rows, cols] = alpha[n]  # 0 where m < 0
     return MatrixGaussian(coeffs if scale is None else coeffs * _finite(scale[n], spec, n, "Phi_n")[:, None])
 
 
@@ -360,9 +360,11 @@ def _poly(alpha, R_inv, spec, root, window, n):
     if not window:
         n_max, N, k = alpha.shape[0] - 1, spec.size, spec.kind
         D = k * (N - 1)
-        T = _product_table(_plan(k, N, n_max), R_inv)
-        i, w, r, a = np.ogrid[: n_max + 1, : 2 * D + 1, :N, :N]
-        m, o = i + k * (a - r), w - D - k * (a - r)  # o: offset of psi_{i-2D+w} from psi_m
+        plan = _plan(k, N, n_max)
+        T = _product_table(plan, R_inv)
+        i, w, _, a = np.ogrid[: n_max + 1, : 2 * D + 1, :N, :N]
+        m = plan.support[:, None]  # (i, 1, r, a)
+        o = w - D - (m - i)  # offset of psi_{i-2D+w} from psi_m
         prod = T[D + m, np.clip(o, 0, 2 * D), a] * ((o >= 0) & (o <= 2 * D))[..., None]
         with np.errstate(over="ignore", invalid="ignore"):  # past the double range; `_finite` raises on read
             window.append(np.einsum("iwrab,ira->iwrb", prod, alpha) * root[:, None, :, None])

@@ -1,19 +1,19 @@
 """Eigen-operators and identity checks for the two families.
 
 Each identity is checked for every n = 0..n_max in one array pass and
-reported as a ResidualReport whose arrays are indexed by n.  The Schrodinger,
-Fourier and symmetry identities are checked in coefficient space (primary,
-exact up to rounding) on one stack of the psi-coefficients of every Phi_n:
-its band window psi_{n-D}..psi_{n+D}, D = k(N-1), so the stack takes
-O(n_max D N^2) memory; the residuals are also evaluated on a small grid
-(secondary, human-readable).  The quadrature transform is the independent
-numerical oracle for the exact Fourier transform of matpoly: the trapezoidal
-rule on a uniform grid, fed with point values, which converges geometrically
-for Gaussian-decaying analytic integrands (Trefethen & Weideman, SIAM Review
-56, 2014).  The real integral equations and the oracle line of `check` take
-their trapezoid sums from one shared table: every psi_m against cos and sin
-kernels, summed over every centred node range, so Phi_n keeps the nodes
-`quadrature_transform` would give it.
+reported as a ResidualReport whose arrays are indexed by n.  The
+Schrodinger identity is checked in coefficient space on one stack of the
+psi-coefficients of every Phi_n: its band window psi_{n-D}..psi_{n+D},
+D = k(N-1), so the stack takes O(n_max D N^2) memory.  The other identities
+are read at points, from values of the psi recurrence, so none of them
+compares a psi-phase or a psi-sign with itself: the Fourier eigen-equation
+and the real integral equations against the trapezoidal rule on a uniform
+grid, which converges geometrically for Gaussian-decaying analytic
+integrands (Trefethen & Weideman, SIAM Review 56, 2014), and the three-term
+relation of multiplication by x against the band matrix of `expansion`.
+All of them take their trapezoid sums and values from one shared table:
+every psi_m against cos and sin kernels, summed over every centred node
+range, so Phi_n keeps the nodes `quadrature_transform` would give it.
 """
 
 import weakref
@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expansion import band_pattern
 from .families import FamilyContext, _finite
 from .hermite import wave_functions, wave_table
 from .matpoly import TRIM_TOL, MatrixGaussian, ladder
 from .structmat import _I_POW, phase_diag, trig_diag
 
 POINTWISE_GRID = np.array([-3.0, -1.5, 0.0, 0.8, 2.2])
-ORACLE_GRID = np.array([-3.0, -1.0, 0.0, 2.0])  # where `check` compares the quadrature and exact transforms
+ORACLE_GRID = np.array([-3.0, -1.0, 0.0, 2.0])  # where `fourier_eigen_residual` reads the trapezoid transform
 TRAPEZOID_STEP = 0.05
 
 
@@ -43,7 +44,7 @@ class ResidualReport:
     relative[n] is the residual over the size of Phi_n (of its coefficients
     for an identity checked in coefficient space, of max(1, max |Phi_n|) at
     the points for a pointwise one); pointwise[n] is the largest residual at
-    POINTWISE_GRID.
+    POINTWISE_GRID (ORACLE_GRID for the Fourier line).
     """
 
     variant: str
@@ -147,66 +148,15 @@ def quadrature_transform(f: MatrixGaussian, k, x, direction=1):
     return vals[0] if scalar else vals
 
 
-def _phases(ctx, start, length, k):
-    """The phases of F_k on the stack: i^m of psi_m (row j, at m = start + j) times i^{kJ_a} of column a."""
-    m = np.arange(length)[:, None] + start
-    return _I_POW[m % 4][..., None, None] * np.diag(phase_diag(ctx.size, k))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def fourier_eigen_residual(ctx: FamilyContext):
-    """Residual of (Phi_n F_k)(x) = i^n i^{kJ} Phi_n(x), with k = kind, for every n."""
-    k = ctx.spec.kind
-    w, start, _ = _phi_window(ctx)
-    lhs = _phases(ctx, start, w.shape[0], k) * w
-    phase = _I_POW[np.arange(ctx.n_max + 1) % 4][:, None] * np.diag(phase_diag(ctx.size, k))
-    rhs = phase[:, :, None] * w  # row r times i^n i^{kJ_r}
-    return _report(ctx, f"fourier_eigen_k{k}", *_sizes(lhs - rhs, w, start))
-
-
-def _reflection_signs(ctx, parity):
-    """f -> (-1)^n f(-x), e^{i pi J} on both sides for family 1, as stacked signs; parity[j, n] = m + n at psi_m."""
-    signs = (-1.0) ** parity[..., None, None]  # psi_m has parity (-1)^m
-    if ctx.spec.kind == 1:
-        E = np.diag(phase_diag(ctx.size, 2)).real  # +-1
-        signs = signs * E[:, None] * E
-    return signs
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def symmetry_residual(ctx: FamilyContext, target="phi"):
-    """Residual of the reflection symmetry for every Phi_n or every P_n.
-
-    Family 1: f(x) = (-1)^n e^{i pi J} f(-x) e^{i pi J}.
-    Family 2: f(x) = (-1)^n f(-x).
-    For target 'poly', f is P_n(x) e^{-x^2/2}, the psi-coefficients of
-    ctx.pn[n] in one stack over psi_{n-2D}..psi_n.
-    """
-    n_max = ctx.n_max
-    if target == "phi":
-        f, start, _ = _phi_window(ctx)
-    elif target == "poly":
-        D2 = 2 * ctx.spec.kind * (ctx.size - 1)
-        start = np.arange(n_max + 1) - D2
-        f = np.zeros((D2 + 1, n_max + 1, ctx.size, ctx.size))
-        for n, p in enumerate(ctx.pn):  # coefficients of P_n sit at psi_{max(0, n-2D)}..psi_{p.degree}
-            f[max(0, -start[n]) : p.degree + 1 - start[n], n] = p.coeffs[max(0, start[n]) :]
-    else:
-        raise ValueError("target must be 'phi' or 'poly'")
-    signs = _reflection_signs(ctx, np.arange(f.shape[0])[:, None] + start + np.arange(n_max + 1))
-    return _report(ctx, f"symmetry_{target}_kind{ctx.spec.kind}", *_sizes(f - signs * f, f, start))
-
-
 _kept = None  # (weak reference to ctx, TRAPEZOID_STEP, `_kernel_sums` of ctx)
 
 
 def _kernel_sums(ctx):
     """Trapezoid sums and values of every Phi_n at xs = POINTWISE_GRID then ORACLE_GRID; the last ones made are kept.
 
-    Returns (cos, sin, values, exact), each of shape (n, len(xs), N, N): step
-    times the sum over Phi_n's nodes t of cos(x t) Phi_n(t) and of sin(x t)
-    Phi_n(t), Phi_n(x), and the exact transform (Phi_n F_k)(x), the last at
-    ORACLE_GRID only.  Phi_n takes the nodes step * (-h_n..h_n) that
+    Returns (cos, sin, values), each of shape (n, len(xs), N, N): step times
+    the sum over Phi_n's nodes t of cos(x t) Phi_n(t) and of sin(x t)
+    Phi_n(t), and Phi_n(x).  Phi_n takes the nodes step * (-h_n..h_n) that
     `quadrature_transform` gives it.  psi_m has parity (-1)^m, so its sums
     against the even cos and the odd sin kernel run over the nodes t >= 0
     (twice each t > 0), and one of them vanishes: the table holds, for each
@@ -231,24 +181,44 @@ def _kernel_sums(ctx):
     odd = (q % 2 == 1)[:, :, None, None]
     sums_cos = np.einsum("xjn,jnab->nxab", sums, np.where(odd, 0.0, w))
     sums_sin = np.einsum("xjn,jnab->nxab", sums, np.where(odd, w, 0.0))
-    exact = _evaluate(_phases(ctx, start, w.shape[0], ctx.spec.kind) * w, start, ORACLE_GRID)
-    data = sums_cos, sums_sin, _evaluate(w, start, xs), exact
+    data = sums_cos, sums_sin, _evaluate(w, start, xs)
     _kept = (weakref.ref(ctx), TRAPEZOID_STEP, data)
     return data
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def quadrature_residual(ctx: FamilyContext):
-    """The trapezoid transform F_k Phi_n (`quadrature_transform`'s nodes) against the exact one at ORACLE_GRID.
+def fourier_eigen_residual(ctx: FamilyContext):
+    """Residual of (Phi_n F_k)(x) = i^n i^{kJ} Phi_n(x), with k = kind, for every n, F_k by the trapezoidal rule.
 
-    relative[n] is the largest gap over max(1, max |Phi_n|) at ORACLE_GRID,
-    for every n; pointwise[n] the largest gap itself.
+    F_k Phi_n is `quadrature_transform`'s, on Phi_n's own nodes, at
+    ORACLE_GRID: relative[n] is the largest gap over max(1, max |Phi_n|)
+    there, pointwise[n] the largest gap itself.
     """
-    (cos, sin, values, exact), X = _kernel_sums(ctx), len(POINTWISE_GRID)
-    quad = (cos[:, X:] + 1j * sin[:, X:]) / np.sqrt(2.0 * np.pi) @ phase_diag(ctx.size, ctx.spec.kind)
-    gap = np.abs(quad - exact).max(axis=(1, 2, 3))
+    (cos, sin, values), X, k = _kernel_sums(ctx), len(POINTWISE_GRID), ctx.spec.kind
+    phase = np.diag(phase_diag(ctx.size, k))
+    quad = (cos[:, X:] + 1j * sin[:, X:]) / np.sqrt(2.0 * np.pi) * phase  # column a times i^{kJ_a}
+    eigen = _I_POW[np.arange(ctx.n_max + 1) % 4][:, None] * phase  # i^n i^{kJ_r} of row r
+    gap = np.abs(quad - eigen[:, None, :, None] * values[:, X:]).max(axis=(1, 2, 3))
     scale = np.maximum(1.0, np.abs(values[:, X:]).max(axis=(1, 2, 3)))
-    return _report(ctx, f"quadrature_oracle_k{ctx.spec.kind}", gap / scale, gap)
+    return _report(ctx, f"fourier_eigen_k{k}", gap / scale, gap)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def three_term_residual(ctx: FamilyContext):
+    """Residual of x Phi-tilde_n(x) = sum_{|d|<=1} (x I)_{n,n+d} Phi-tilde_{n+d}(x) at POINTWISE_GRID, for n < n_max.
+
+    The blocks are the band of `band_pattern(ctx, 1)`, the values those of
+    Phi_n over ||P_n||, row by row.  relative[n] is the largest residual over
+    max(1, max |Phi-tilde_n|) at the points, pointwise[n] the residual itself;
+    both have n_max entries, as Phi-tilde_{n_max+1} is not built.
+    """
+    n_max, X = ctx.n_max, len(POINTWISE_GRID)
+    values = _kernel_sums(ctx)[2][:, :X] / np.exp(0.5 * ctx.log_norms)[:, None, :, None]  # row r over ||P_n||_r
+    band = band_pattern(ctx, 1).band[:n_max]  # (n, d + 1, r, s), 0 where n + d < 0
+    rhs = np.einsum("ndrs,ndxsa->nxra", band, values[ctx.plan.near[0][:n_max]])
+    resid = np.abs(POINTWISE_GRID[:, None, None] * values[:n_max] - rhs).max(axis=(1, 2, 3))
+    scale = np.maximum(1.0, np.abs(values[:n_max]).max(axis=(1, 2, 3)))
+    return _report(ctx, f"three_term_kind{ctx.spec.kind}", resid / scale, resid)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -261,14 +231,13 @@ def real_integral_residual(ctx: FamilyContext, form="even", sign=+1):
     multipliers and uses the kernel k_{n+1}.  Family 2 has a single equation
     per parity (cos kernel for even n, sin for odd); form and sign are ignored.
 
-    Returns the report of the pointwise residual over POINTWISE_GRID (relative
-    to max(1, max |Phi_n|) there) together with the largest imaginary part seen
-    on either side for each n (both sides must be real).
+    Returns the report of the pointwise residual over POINTWISE_GRID, relative
+    to max(1, max |Phi_n|) there.  Both sides are real, as Phi_n is.
     """
     N, n_max = ctx.size, ctx.n_max
     if ctx.spec.kind == 1 and form not in ("even", "odd"):
         raise ValueError("form must be 'even' or 'odd'")
-    (cos, sin, values, _), X = _kernel_sums(ctx), len(POINTWISE_GRID)
+    (cos, sin, values), X = _kernel_sums(ctx), len(POINTWISE_GRID)
     n = np.arange(n_max + 1)
     phi_vals = values[:, :X]  # e^{-x^2/2} P_n(x) R(x)
     # every multiplier is diagonal: e^{i pi J} (+-1), C_+ = cos((pi/2)J) and C_- = sin((pi/2)J), as vectors
@@ -296,18 +265,6 @@ def real_integral_residual(ctx: FamilyContext, form="even", sign=+1):
         lhs = left[:, None] * phi_vals * right
         rhs = (coeff / np.sqrt(2.0 * np.pi))[:, None, None, None] * (front[:, None] * integ * back)
         variant = f"real_int_kind1_{form}_{'+' if s > 0 else '-'}"
-    max_imag = np.maximum(np.abs(np.imag(lhs)).max(axis=(1, 2, 3)), np.abs(np.imag(rhs)).max(axis=(1, 2, 3)))
     resid = np.abs(lhs - rhs).max(axis=(1, 2, 3))
     scale = np.maximum(1.0, np.abs(phi_vals).max(axis=(1, 2, 3)))
-    return _report(ctx, variant, resid / scale, resid), max_imag
-
-
-def row_coverage(N):
-    """Rows of P_n constrained by the sin/cos multipliers of the real equations.
-
-    The front multiplier C_+- selects the rows where its diagonal is nonzero;
-    the union over both multipliers must cover all N rows.
-    """
-    cos_rows = {j for j in range(N) if trig_diag(N, "cos")[j, j] != 0}
-    sin_rows = {j for j in range(N) if trig_diag(N, "sin")[j, j] != 0}
-    return cos_rows, sin_rows, cos_rows | sin_rows == set(range(N))
+    return _report(ctx, variant, resid / scale, resid)

@@ -1,5 +1,7 @@
 """Top-level acceptance suite: ten criteria, one pass/fail line each.
 
+The identity lines of `matschroed check` come from its registry,
+`cli.check_lines`, with its limits; the other criteria are checked here.
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they print.
 """
 
@@ -10,23 +12,15 @@ import numpy as np
 import pytest
 
 from hermite_reference import hermite_phys
+from matschroed.cli import DEFAULT_TOL, check_lines
 from matschroed.expansion import expand, inner_product, matrix_element, band_pattern, reconstruct
 from matschroed.families import FamilySpec, build_family, closed_form_N2, gamma_seq
 from matschroed.matpoly import MatrixGaussian
-from matschroed.operators import (
-    fourier_eigen_residual,
-    potential_shift,
-    quadrature_transform,
-    real_integral_residual,
-    row_coverage,
-    schrodinger_apply,
-    schrodinger_residual,
-    symmetry_residual,
-    transform_apply,
-)
+from matschroed.operators import potential_shift, quadrature_transform, schrodinger_apply, transform_apply
 from matschroed.structmat import phase_diag
 
 from test_expansion import oracle_block
+from test_operators import reflected
 
 SEED = int(os.environ.get("MATSCHROED_SEED", 42))
 N_MAX = 10
@@ -52,24 +46,30 @@ def report(num, name, value, tol):
     assert ok, f"criterion {num} ({name}): {value:.3e} >= {tol:.1e}"
 
 
-def test_01_orthonormality(contexts):
-    worst = 0.0
-    for spec, ctx in contexts.items():
-        I = np.eye(spec.size)
-        for n in range(N_MAX + 1):
-            for m in range(n, N_MAX + 1):
-                g = inner_product(ctx.phi_tilde[n], ctx.phi_tilde[m])
-                worst = max(worst, float(np.max(np.abs(g - (I if n == m else 0.0)))))
-    report(1, "orthonormality", worst, 1e-9)
+def registry(ctxs):
+    """The `check_lines` of every family at the default tolerance: {name: (worst residual, limit)}."""
+    worst = {}
+    for ctx in ctxs:
+        for name, residual, limit in check_lines(ctx, DEFAULT_TOL, SEED):
+            worst[name] = (max(residual, worst.get(name, (0.0,))[0]), limit)  # a limit depends on the name only
+    return worst
 
 
-def test_02_schrodinger(contexts):
-    worst = max(schrodinger_residual(ctx).relative.max() for ctx in contexts.values())
-    report(2, "schrodinger eigen-equation", worst, 1e-9)
+@pytest.fixture(scope="module")
+def lines(contexts):
+    return registry(contexts.values())
 
 
-def test_03_integral_eigen_equations(contexts):
-    worst_exact = max(fourier_eigen_residual(ctx).relative.max() for ctx in contexts.values())
+def test_01_orthonormality(lines):
+    report(1, "orthonormality", *lines["orthonormality"])
+
+
+def test_02_schrodinger(lines):
+    report(2, "schrodinger eigen-equation", *lines["schrodinger"])
+
+
+def test_03_integral_eigen_equations(contexts, lines):
+    # the registry reads the trapezoid transform at ORACLE_GRID; here it is read on a wider grid too
     xs = np.linspace(-5, 5, 21)
     worst_oracle = 0.0
     for spec, ctx in contexts.items():
@@ -80,31 +80,24 @@ def test_03_integral_eigen_equations(contexts):
             q = quadrature_transform(phi, k, xs)
             rhs = np.einsum("ab,xbc->xac", lam[n] * phase_diag(spec.size, k), phi(xs))
             worst_oracle = max(worst_oracle, float(np.max(np.abs(q - rhs))))
-    report(3, "integral eigen-equation (exact)", worst_exact, 1e-9)
-    report(3, "integral eigen-equation (oracle)", worst_oracle, 1e-8)
+    report(3, "integral eigen-equation", *lines["fourier_eigen"])
+    report(3, "integral eigen-equation (x in -5..5)", worst_oracle, 1e-8)
 
 
 def test_04_symmetry(contexts):
-    worst = max(symmetry_residual(ctx, t).relative.max() for ctx in contexts.values() for t in ("phi", "poly"))
-    report(4, "reflection symmetry", worst, 1e-12)
-
-
-def test_05_real_integral_equations(contexts):
-    worst, worst_imag = 0.0, 0.0
+    # f(x) = (-1)^n f(-x), conjugated by e^{i pi J} for family 1, for f = Phi_n and P_n e^{-x^2/2}; exactly, as
+    # entry (r, a) of either holds only psi_m with m of the parity of n + kind (a - r)
+    worst = 0.0
     for spec, ctx in contexts.items():
-        variants = (
-            [("even", 1), ("even", -1), ("odd", 1), ("odd", -1)]
-            if spec.kind == 1
-            else [("even", 1)]
-        )
-        scale = max(p.max_abs() for p in ctx.phi)
-        for form, sign in variants:
-            rep, mi = real_integral_residual(ctx, form, sign)
-            worst = max(worst, rep.pointwise.max() / max(1.0, scale))
-            worst_imag = max(worst_imag, mi.max() / max(1.0, scale))
-        assert row_coverage(spec.size)[2]
-    report(5, "real integral equations", worst, 1e-8)
-    report(5, "real integral (imaginary part)", worst_imag, 1e-10)
+        for n in range(N_MAX + 1):
+            for f in (ctx.phi[n], ctx.pn[n]):
+                worst = max(worst, (f - reflected(f, spec.kind, n)).max_abs())
+    print(f"{'PASS' if worst == 0.0 else 'FAIL'}  criterion  4  {'reflection symmetry':<38} {worst:.3e} == 0")
+    assert worst == 0.0, f"criterion 4 (reflection symmetry): {worst:.3e}"
+
+
+def test_05_real_integral_equations(lines):
+    report(5, "real integral equations", *lines["real_integral"])
 
 
 def test_06_closed_forms_N2():
@@ -152,7 +145,7 @@ def test_06_closed_forms_N2():
     report(6, "N=2 norm closed forms", worst_norm, 1e-10)
 
 
-def test_07_matrix_elements():
+def test_07_matrix_elements(lines):
     worst = 0.0
     for kind in (1, 2):
         spec = FamilySpec(kind, 2, [1.0])
@@ -175,6 +168,7 @@ def test_07_matrix_elements():
         for off in diag_offsets_zero:
             assert not np.diagonal(bp.mask, off).any()
     report(7, "matrix-element closed forms", worst, 1e-9)
+    report(7, "three-term relation, read at points", *lines["three_term"])
 
 
 def test_08_figure_densities():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matschroed.cli import main
+from matschroed.cli import DEFAULT_TOL, check_lines, main
 from matschroed.expansion import band_pattern
 from matschroed.families import FamilySpec, build_family
 from matschroed.matpoly import MatrixGaussian
@@ -43,11 +43,14 @@ def test_traced_names_resolve():
 
 
 def run_constant(name):
-    """A literal constant of bench/run.py, read without importing it (the import sets BLAS variables)."""
+    """A constant of bench/run.py, read without importing it (the import sets BLAS variables).
+
+    A literal, or an expression of literals such as a comprehension over them.
+    """
     tree = ast.parse((BENCH / "run.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
-            return ast.literal_eval(node.value)
+            return eval(compile(ast.Expression(node.value), "run.py", "eval"), {"__builtins__": {}})
     raise LookupError(name)
 
 
@@ -59,6 +62,18 @@ def test_check_prints_the_benchmark_line_names(capsys, kind):
     assert main(["check", "--kind", str(kind), "--N", "3", "--nu=0.8,-1.3", "--nmax", n_max]) == 0
     passed = {line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("PASS ")}
     assert set(names) <= passed, set(names) - passed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_check_line_of_the_benchmark_shapes_can_fail(seed):
+    # a residual of exactly 0 holds by construction and could not catch a fault; nu is drawn as bench/run.py draws it
+    names = set(run_constant("CHECK_LINE_NAMES"))
+    rng = np.random.default_rng([seed, 5])
+    for kind, N in run_constant("CHECK_SPECS"):
+        ctx = build_family(FamilySpec(kind, N, rng.uniform(-2.0, 2.0, N - 1)), run_constant("CHECK_NMAX"))
+        lines = {name: residual for name, residual, _ in check_lines(ctx, DEFAULT_TOL, seed)}
+        assert names <= lines.keys(), names - lines.keys()
+        assert all(np.isfinite(r) and r > 0 for r in lines.values()), (kind, N, lines)
 
 
 def test_band_matrix_serves_what_the_benchmark_reads():

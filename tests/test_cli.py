@@ -133,7 +133,12 @@ def test_check_passes(capsys, family_args):
     out = capsys.readouterr().out
     assert rc == 0
     assert "FAIL" not in out
-    assert out.count("PASS") >= 8
+    N = int(family_args[family_args.index("--N") + 1])
+    n_max = int(family_args[family_args.index("--nmax") + 1]) if "--nmax" in family_args else 6
+    expected = ["orthonormality", "schrodinger", "fourier_eigen", "real_integral"]
+    expected += ["closed_form_N2", "norms_N2"] * (N == 2) + ["three_term"] * (n_max > 0)  # none at n_max = 0
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("PASS ")] == [
+        *expected, "expand_reconstruct_roundtrip"]
 
 
 def test_check_scales_unnormalized_lines():
