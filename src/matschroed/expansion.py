@@ -6,10 +6,10 @@ product is a sum of coefficient products; no quadrature is involved, also
 not in the weighted inner product of the P_n, which multiplies by R in the
 psi basis.  Expansion, reconstruction and band matrices read the family's
 table alpha directly, at the indices of its shape plan: entry (r, a) of
-Phi-tilde_n is alpha[n, r, a] psi_{n+k(a-r)}, so each is one gather or
-scatter over alpha, with no Phi-tilde_n built.  A band matrix is stored as
-its 2k+1 block diagonals, and `matrix_element` reads the same product for
-its one n.
+Phi-tilde_n is alpha[n, r, a] psi_{n+k(a-r)}, so expansion and
+reconstruction are each one gather at the plan's offsets and one real
+product, with no Phi-tilde_n built.  A band matrix is stored as its 2k+1
+block diagonals, and `matrix_element` reads the same product for its one n.
 """
 
 import functools
@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import FamilyContext, FamilySpec, build_structured, right_factor_poly
-from .matpoly import MatrixGaussian, degree_of, poly_times
+from .families import FamilyContext, FamilySpec, _windows, build_structured, right_factor_poly
+from .matpoly import MatrixGaussian, poly_times
 
-# size, relative to the largest, below which a psi-coefficient of F R^{-1} counts as zero
+# largest |F - sum C_n Phi-tilde_n|, relative to max |F| (both over psi-coefficients), that `expand` accepts
 SPAN_RTOL = 1e-10
 
 
@@ -90,43 +90,65 @@ class CoefficientExpansion:
     coeffs: np.ndarray = field(repr=False)
 
 
-def expand(F: MatrixGaussian, ctx: FamilyContext, project=False):
-    """Coefficients C_n = <F, Phi-tilde_n> of F against the orthonormal family.
+def _behind(X, count, D):
+    """Rows j-D..j+D of X (0 outside its rows) for j < count, flattened: one view over X placed behind D zero rows."""
+    padded = np.zeros((count + 2 * D,) + X.shape[1:], dtype=X.dtype)
+    padded[D : D + min(len(X), count + D)] = X[: count + D]
+    return _windows(padded, count, (2 * D + 1) * X[0].size)
 
-    F must lie in the span of Phi-tilde_0..Phi-tilde_{n_max}; equivalently
-    F(x) R(x)^{-1} must have no psi-coefficient above n_max.  Out-of-span
-    inputs raise unless project=True, which returns the truncated projection
-    instead.
+
+def _change(X, weights, plan, D):
+    """out[j, i, u] = sum_v X[j + k(v-u), i, v] weights[j, u, v] for j < len(weights): a gather at `plan.spread`.
+
+    The sum over v is real, on the (re, im) view of a complex X, and `einsum` keeps its order at any width
+    (a batched `matmul` does not), so real data with 0 imaginary parts gives bit-identical results.
+    """
+    gathered = _behind(X, len(weights), D).take(plan.spread, axis=1)  # (j, u, v, i)
+    return np.einsum("juv,juvi->jui", weights, gathered.view(float)).view(X.dtype).transpose(0, 2, 1)
+
+
+def _synthesis(coeffs, ctx, rows):
+    """psi_0..psi_{rows-1} of sum C_n Phi-tilde_n: F_m[:, a] = sum_r C_n[:, r] alpha[n, r, a], n = m - k(a - r)."""
+    D = ctx.spec.kind * (ctx.size - 1)
+    weights = _behind(ctx.alpha[: len(coeffs)], rows, D).take(ctx.plan.spread_alpha, axis=1)  # (m, a, r)
+    return _change(coeffs, weights, ctx.plan, D)
+
+
+def expand(F: MatrixGaussian, ctx: FamilyContext, project=False):
+    """Coefficients C_n = <F, Phi-tilde_n> = sum_a F_{n+k(a-r)}[:, a] alpha[n, r, a] (column r) of F.
+
+    F must lie in the span of Phi-tilde_0..Phi-tilde_{n_max}, that is, equal
+    sum C_n Phi-tilde_n.  The residual is taken on psi-coefficients, where the
+    Phi-tilde_n are orthonormal, so it is well-conditioned (below 1e-14 of
+    max |F| on members, of order eps for a member plus eps Phi-tilde_{n_max+1});
+    above SPAN_RTOL times max |F| it raises, unless project=True, which
+    returns the truncated projection instead.
     """
     if F.size != ctx.size:
         raise ValueError("size mismatch")
+    D = ctx.spec.kind * (ctx.size - 1)
+    coeffs = _change(F.coeffs, ctx.alpha, ctx.plan, D)
     if not project:
-        deg = degree_of(poly_times(F.coeffs, ctx.right_factor_inv), SPAN_RTOL)
-        if deg > ctx.n_max:
-            raise ValueError(
-                f"input spans degree {deg} > n_max {ctx.n_max}; expansion would truncate "
-                "(pass project=True for a projection)"
-            )
-    # C_n[:, r] = sum_a F_{n+k(a-r)}[:, a] alpha[n, r, a]
-    m = ctx.plan.support  # psi index n + k(a - r) of entry (r, a); alpha is 0 where it is < 0
-    gathered = F.coeffs[np.clip(m, 0, F.degree), :, np.arange(ctx.size)]  # (n, r, a, :); masked above F.degree
-    coeffs = np.einsum("nrai,nra->nir", gathered, ctx.alpha * (m <= F.degree))
+        residual = _synthesis(coeffs, ctx, max(len(F.coeffs), ctx.n_max + D + 1))
+        residual[: len(F.coeffs)] -= F.coeffs
+        if np.abs(residual).max() > SPAN_RTOL * F.max_abs():
+            raise ValueError(f"input leaves the span of the kind {ctx.spec.kind}, N={ctx.size}, nu={ctx.spec.nu} "
+                             f"family up to n_max {ctx.n_max}: |F - sum C_n Phi-tilde_n| is "
+                             f"{np.abs(residual).max() / F.max_abs():.3e} of max |F|; expansion would truncate "
+                             "(pass project=True for a projection)")
     return CoefficientExpansion(spec=ctx.spec, n_max=ctx.n_max, coeffs=coeffs)
 
 
 def reconstruct(expansion: CoefficientExpansion, ctx: FamilyContext):
-    """Sum C_n Phi-tilde_n, as one scatter-add of C_n[:, r] alpha[n, r, a] into psi index n + k(a - r)."""
+    """Sum C_n Phi-tilde_n, as one gather of the C_n and alpha at the plan's offsets (`_synthesis`)."""
     N, n_max = ctx.size, expansion.n_max
     if expansion.spec != ctx.spec or expansion.coeffs.shape != (n_max + 1, N, N) or n_max > ctx.n_max:
         raise ValueError(
             f"expansion of {expansion.spec} with n_max={n_max} and coefficients of shape "
             f"{expansion.coeffs.shape} does not fit the family {ctx.spec} with n_max={ctx.n_max}"
         )
-    m = ctx.plan.support[: n_max + 1]
-    out = np.zeros((m.max() + 1, N, N), dtype=np.result_type(expansion.coeffs, float))
-    terms = np.einsum("nir,nra->nrai", expansion.coeffs, ctx.alpha[: n_max + 1])
-    np.add.at(out, (np.maximum(m, 0)[..., None], np.arange(N), np.arange(N)[:, None]), terms)
-    return MatrixGaussian(out)
+    C = np.asarray(expansion.coeffs, dtype=np.result_type(expansion.coeffs, float))
+    return MatrixGaussian(_synthesis(C, ctx, n_max + ctx.spec.kind * (N - 1) + 1))
 
 
 def _band(ctx, k, rows, n_max):

@@ -18,7 +18,7 @@ holds every index array the build and the band matrices of `expansion`
 need, read-only.  Plans are kept, least recently used dropped first, up to
 PLAN_CACHE_BYTES (4 MiB: two plans of the largest supported shape, kind 2,
 N=8, n_max=400, at 1.8 MB; the 14 shapes of the benchmark's build workload
-take 0.56 MB).  The numeric pass forms T = band R^{-1} from
+take 0.59 MB).  The numeric pass forms T = band R^{-1} from
 R^{-1}, takes the constraint rows in one gather, orders them, runs the N
 stacked SVDs and signs and checks the rows; the SVDs are about two thirds of
 an N = 8 build at n_max 10 to 20 and four fifths at n_max 200 (one BLAS
@@ -193,6 +193,8 @@ class _Plan:
     psi_{i+o}> for i <= n_max + D (also when D < j); near[j-1][n, d+j] = n + d
     clipped into 0..n_max, keep where unclipped; meets[j-1] lists the (d+j,
     o+j, r, s) with o = d + k(r - s), where x^j row r of n meets row s of n+d.
+    `expansion` reads a stack X behind D zero rows: spread[u, v, i] locates X[j+k(v-u), i, v] and
+    spread_alpha[u, v] alpha[j+k(v-u), v, u], from the start of row j (expand: X = F, reconstruct: X = C).
     """
 
     band: np.ndarray
@@ -211,11 +213,14 @@ class _Plan:
     near: tuple
     keep: tuple
     meets: tuple
+    spread: np.ndarray
+    spread_alpha: np.ndarray
 
     @property
     def arrays(self):
         return (self.band, self.high, self.owner, self.diag, *self.same, self.unsupported, self.pinned, self.top,
-                self.tol, self.log_scale, self.support, *self.ladder, *self.near, *self.keep, *self.meets)
+                self.tol, self.log_scale, self.support, *self.ladder, *self.near, *self.keep, *self.meets,
+                self.spread, self.spread_alpha)
 
     @property
     def nbytes(self):
@@ -244,7 +249,8 @@ def _make_plan(k, N, n_max):
                  tuple(np.ascontiguousarray(ladder_band(n_max + D, j)[j].T) for j in (1, 2)),
                  tuple(np.clip(n[:, None] + d, 0, n_max) for d in o),
                  tuple((n[:, None] + d >= 0) & (n[:, None] + d <= n_max) for d in o),
-                 tuple(np.argwhere(d[:, None, None] == d[:, None, None, None] + k * (a[:, None] - a)).T for d in o))
+                 tuple(np.argwhere(d[:, None, None] == d[:, None, None, None] + k * (a[:, None] - a)).T for d in o),
+                 ((D + shift) * N * N + a)[..., None] + a * N, (D + shift) * N * N + a * N + a[:, None])
     for x in plan.arrays:
         x.flags.writeable = False
     return plan

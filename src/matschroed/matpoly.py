@@ -27,18 +27,6 @@ TRIM_TOL = 1e-14
 PRODUCT_BUDGET = 10**6
 
 
-def degree_of(coeffs, rtol):
-    """Highest index whose coefficient exceeds rtol times the largest one in size; 0 for an all-zero input."""
-    sizes = np.abs(coeffs).reshape(coeffs.shape[0], -1).max(axis=1)
-    keep = np.flatnonzero(sizes > rtol * sizes.max())
-    return int(keep[-1]) if keep.size else 0
-
-
-def _trim(coeffs):
-    """Drop trailing indices whose coefficients are below TRIM_TOL times the largest."""
-    return np.ascontiguousarray(coeffs[: degree_of(coeffs, TRIM_TOL) + 1])
-
-
 def poly_eval(p, xs):
     """Matrix polynomial (ascending monomial coeffs) at 1-d points xs -> (len(xs), N, N), by Horner's scheme."""
     out = np.broadcast_to(p[-1], (xs.size,) + p.shape[1:]).copy()
@@ -104,6 +92,7 @@ class MatrixGaussian:
     """f(x) = sum_m coeffs[m] psi_m(x), coeffs[m] N x N: float64 for real or integer input, else complex128."""
 
     coeffs: np.ndarray = field(repr=False)
+    lo: int = field(init=False, repr=False, compare=False)  # lowest index with a nonzero coefficient (0 if none)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
@@ -112,10 +101,13 @@ class MatrixGaussian:
         c = c.astype(np.result_type(c, float), copy=False)
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise ValueError("coeffs must have shape (degree+1, N, N)")
-        if not np.isfinite(c).all():
+        sizes = np.abs(c).reshape(c.shape[0], -1).max(axis=1)  # nan or inf in a row with a nan or inf
+        if not np.isfinite(sizes).all() and not np.isfinite(c).all():
             first = tuple(int(i) for i in np.argwhere(~np.isfinite(c))[0])
             raise ValueError(f"coeffs must be finite, got {c[first]} at index {first}")
-        object.__setattr__(self, "coeffs", _trim(c))
+        keep = np.flatnonzero(sizes > TRIM_TOL * sizes.max())  # trailing indices below it are dropped
+        object.__setattr__(self, "coeffs", np.ascontiguousarray(c[: keep[-1] + 1 if keep.size else 1]))
+        object.__setattr__(self, "lo", int(np.argmax(sizes > 0.0)))
 
     @property
     def size(self):
@@ -148,9 +140,9 @@ class MatrixGaussian:
             raise ValueError(f"evaluation points must be a scalar or a 1-d array, got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError(f"evaluation points must be finite, got {x[~np.isfinite(x)][:3]}")
-        psi = wave_table(self.degree, np.atleast_1d(x), envelope)
+        psi = wave_table(self.degree, np.atleast_1d(x), envelope)[self.lo :]  # the rows below lo meet zeros
         # a real product; a complex function runs on its interleaved (re, im) view, with no complex psi table
-        flat = self.coeffs.reshape(psi.shape[0], -1).view(float)
+        flat = self.coeffs[self.lo :].reshape(psi.shape[0], -1).view(float)
         out = np.empty((psi.shape[1], flat.shape[1]))
         step = max(1, PRODUCT_BUDGET // flat.size)  # points per product
         for s in range(0, psi.shape[1], step):

@@ -124,8 +124,11 @@ def schrodinger_residual(ctx: FamilyContext):
 
 
 def transform_apply(f: MatrixGaussian, k, direction=1):
-    """The Fourier-type transform F_k (or its inverse), exactly."""
-    return f.fourier(direction).right_mul(phase_diag(f.size, direction * k))
+    """The Fourier-type transform F_k (or its inverse), exactly: coefficient (m, a, b) times i^{direction(m + kJ_b)}."""
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    power = direction * (np.arange(f.degree + 1)[:, None] + k * np.arange(f.size - 1, -1, -1))
+    return MatrixGaussian(f.coeffs * _I_POW[power % 4][:, None, :])
 
 
 def _trapezoid_nodes(f: MatrixGaussian):

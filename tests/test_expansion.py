@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,85 @@ def test_expand_rejects_out_of_span():
             expand(f.scale(scale), small)
     exp = expand(f, small, project=True)
     assert np.max(np.abs(exp.coeffs)) < 1e-9  # orthogonal to the whole span
+
+
+def _nu(N):
+    return [0.8, -0.6, 0.9, 0.7, -0.5, 0.6, 0.8][: N - 1]
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 5, 8])
+@pytest.mark.parametrize("n_max", [0, 1, 20])
+def test_expand_and_reconstruct_match_parseval(kind, N, n_max):
+    # the gathers at the plan's offsets against the Parseval reference: <F, Phi-tilde_n> for
+    # expand, and for reconstruct the sum of C_n Phi-tilde_n and its own inner products
+    ctx = build_family(FamilySpec(kind, N, _nu(N)), n_max)
+    phis = list(ctx.phi_tilde)
+    rng = np.random.default_rng(36)
+    real = rng.standard_normal((n_max + 1, N, N))
+    for C in (real, real + 1j * rng.standard_normal((n_max + 1, N, N))):
+        for top in sorted({n_max // 2, n_max}):  # an expansion below the context's n_max, and one at it
+            F = reconstruct(CoefficientExpansion(ctx.spec, top, C[: top + 1]), ctx)
+            ref = MatrixGaussian.zero(N)
+            for n in range(top + 1):
+                ref = ref + phis[n].left_mul(C[n])
+            assert F.coeffs.dtype == C.dtype and F.degree == ref.degree
+            assert np.max(np.abs(F.coeffs - ref.coeffs)) <= 1e-14 * ref.max_abs()
+            got = expand(F, ctx).coeffs
+            parseval = np.stack([inner_product(F, phi) for phi in phis])
+            assert np.max(np.abs(got - parseval)) <= 1e-14 * np.max(np.abs(parseval))
+            assert np.max(np.abs(parseval[: top + 1] - C[: top + 1])) <= 1e-14 * np.max(np.abs(C))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("N", [5, 8])
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_expand_rejects_a_small_step_out_of_span(kind, N, n_max):
+    # member + eps Phi-tilde_{n_max+1}, the next function of a family built one step further:
+    # the residual F - sum C_n Phi-tilde_n reads about eps
+    spec = FamilySpec(kind, N, _nu(N))
+    ctx, further = build_family(spec, n_max), build_family(spec, n_max + 1)
+    rng = np.random.default_rng(37)
+    C = rng.standard_normal((n_max + 1, N, N)) + 1j * rng.standard_normal((n_max + 1, N, N))
+    member = reconstruct(CoefficientExpansion(spec, n_max, C), ctx)
+    for eps in (1e-2, 1e-6, 1e-8):
+        with pytest.raises(ValueError, match=rf"n_max {n_max}: .* of max \|F\|"):
+            expand(member + further.phi_tilde[n_max + 1].scale(eps), ctx)
+        projection = expand(member + further.phi_tilde[n_max + 1].scale(eps), ctx, project=True)
+        assert np.max(np.abs(projection.coeffs - C)) <= 1e-12 * np.max(np.abs(C))
+
+
+def test_expand_accepts_members_at_kind_2_n_max_100():
+    spec = FamilySpec(2, 8, _nu(8))
+    ctx = build_family(spec, 100)
+    rng = np.random.default_rng(38)
+    C = rng.standard_normal((101, 8, 8)) + 1j * rng.standard_normal((101, 8, 8))
+    F = reconstruct(CoefficientExpansion(spec, 100, C), ctx)
+    assert np.max(np.abs(expand(F, ctx).coeffs - C)) <= 1e-12 * np.max(np.abs(C))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_expand_rejects_degree_above_n_max_plus_D(contexts, spec):
+    # psi_{n_max+D+1} is orthogonal to every Phi-tilde_n, n <= n_max, whose degree is at most n + D
+    ctx = contexts[spec]
+    D = spec.kind * (spec.size - 1)
+    coeffs = np.zeros((ctx.n_max + D + 2, spec.size, spec.size))
+    coeffs[-1, 0, 0] = 1e-3
+    high = MatrixGaussian(coeffs)
+    for F in (high, random_member(ctx, np.random.default_rng(39))[0] + high):
+        with pytest.raises(ValueError, match="leaves the span"):
+            expand(F, ctx)
+    assert not expand(high, ctx, project=True).coeffs.any()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_expand_zero_function(contexts, spec):
+    # max |F| = 0: the span test must not divide by it (pytest turns a RuntimeWarning into an error)
+    ctx = contexts[spec]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exp = expand(MatrixGaussian.zero(spec.size), ctx)
+    assert exp.coeffs.shape == (ctx.n_max + 1, spec.size, spec.size) and not exp.coeffs.any()
 
 
 def _pair_block(f, g, k=0):

@@ -213,6 +213,24 @@ def test_values_are_fresh_writable_arrays():
     np.testing.assert_array_equal(f(x), ref)
 
 
+@pytest.mark.parametrize("kind", [1, 2])
+def test_eval_starts_at_the_lowest_nonzero_row(kind):
+    # Phi-tilde_n has no psi-coefficient below psi_{n-D}, nor of the other parity at kind 2; evaluation skips those rows
+    ctx = build_family(FamilySpec(kind, 3, [0.8, -1.3]), 12)
+    D = kind * 2
+    x = np.linspace(-5.0, 5.0, 41)
+    psi = wave_table(ctx.n_max + D, x)
+    for n, f in enumerate(ctx.phi_tilde):
+        assert f.lo == (n - D if n >= D else (n - D) % kind) and not f.coeffs[: f.lo].any()
+        full = np.einsum("jx,jab->xab", psi[: f.degree + 1], f.coeffs)
+        np.testing.assert_allclose(f(x), full, rtol=0, atol=1e-14)
+    zero = MatrixGaussian.zero(2)
+    assert zero.lo == 0 and not zero(x).any()
+    shifted = MatrixGaussian(np.concatenate([np.zeros((5, 2, 2)), np.ones((1, 2, 2)) * (1 + 2j)]))
+    assert shifted.lo == 5
+    np.testing.assert_array_equal(shifted(x), psi[5][:, None, None] * np.full((2, 2), 1 + 2j))
+
+
 @pytest.mark.parametrize(
     "coeffs, problem",
     [

@@ -119,6 +119,22 @@ def test_transform_inverse_roundtrip():
     assert (g - f).max_abs() < 1e-12 * f.max_abs()
 
 
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_transform_is_the_fourier_phase_then_i_kJ(kind, direction):
+    # one phase i^{direction (m + kJ_b)} per coefficient, exactly the product of the two exact factors
+    rng = np.random.default_rng(22)
+    for N in (1, 3, 8):
+        real = rng.standard_normal((12, N, N))
+        for f in (MatrixGaussian(real), MatrixGaussian(real + 1j * rng.standard_normal((12, N, N)))):
+            ref = f.fourier(direction).right_mul(phase_diag(N, direction * kind))
+            got = transform_apply(f, kind, direction)
+            assert got.coeffs.dtype == np.complex128
+            np.testing.assert_array_equal(got.coeffs, ref.coeffs)
+    with pytest.raises(ValueError, match="direction"):
+        transform_apply(f, kind, direction=2)
+
+
 def test_quadrature_transform_validation():
     f = MatrixGaussian.from_poly(np.ones((21, 2, 2)))
     with pytest.raises(ValueError):
