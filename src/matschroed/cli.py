@@ -14,12 +14,13 @@ import sys
 
 import numpy as np
 
-from .expansion import CoefficientExpansion, _gram_blocks, band_pattern, expand, reconstruct
+from .expansion import CoefficientExpansion, band_pattern, expand, reconstruct
 from .families import FamilySpec, build_family, closed_form_N2, gamma_seq
 from .matpoly import MatrixGaussian
 from .operators import (
     POINTWISE_GRID,
     fourier_eigen_residual,
+    orthonormality_residual,
     quadrature_transform,
     real_integral_residual,
     schrodinger_residual,
@@ -127,13 +128,12 @@ def check_lines(ctx, tol, seed):
     """The lines of `check`, in print order: (name, residual, limit), each passing when residual < limit.
 
     No line holds by construction: each compares the family with an independent
-    computation (Parseval sums, trapezoid transforms, point values, closed forms
-    or a seeded round trip).  Pointwise residuals are on the unnormalized Phi_n,
-    relative to max(1, max |Phi_n|) at the points compared.
+    computation (the Gram of alpha, trapezoid transforms, point values, closed
+    forms or a seeded round trip).  Every line reads alpha or Phi-tilde_n, so
+    pointwise residuals are absolute, as |Phi-tilde_n(x)| < 1.
     """
     spec, n_max, N = ctx.spec, ctx.n_max, ctx.size
-    gram = _gram_blocks(ctx.phi_tilde, ctx.phi_tilde)
-    yield "orthonormality", float(np.max(np.abs(gram - np.eye(n_max + 1)[:, :, None, None] * np.eye(N)))), tol
+    yield "orthonormality", orthonormality_residual(ctx).relative.max(), tol
     yield "schrodinger", schrodinger_residual(ctx).relative.max(), tol
     yield "fourier_eigen", fourier_eigen_residual(ctx).relative.max(), tol
     variants = [(form, sign) for form in ("even", "odd") for sign in (1, -1)] if spec.kind == 1 else [("even", 1)]

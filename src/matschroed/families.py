@@ -147,7 +147,6 @@ class FamilyContext:
     spec: FamilySpec
     structured: StructuredPair
     n_max: int
-    right_factor_inv: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
     pn: LazyTable = field(repr=False)
     norms: list = field(repr=False)
@@ -410,7 +409,6 @@ def build_family(spec, n_max):
         spec=spec,
         structured=pair,
         n_max=n_max,
-        right_factor_inv=R_inv,
         alpha=alpha,
         pn=LazyTable(n_max + 1, functools.partial(_poly, alpha, R_inv, spec, root, [])),
         norms=norms,

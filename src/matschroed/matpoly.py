@@ -201,10 +201,6 @@ class MatrixGaussian:
         signs = (-1.0) ** np.arange(self.degree + 1)
         return MatrixGaussian(signs[:, None, None] * self.coeffs)
 
-    def conj_transpose(self):
-        """x -> f(x)^*, entrywise conjugate transpose of each coefficient (the psi_m are real)."""
-        return MatrixGaussian(np.conj(np.swapaxes(self.coeffs, 1, 2)))
-
     def differentiate(self):
         """Exact derivative, by the ladder operator."""
         return MatrixGaussian(ladder(self.coeffs, sign=-1))

@@ -1,19 +1,20 @@
 """Eigen-operators and identity checks for the two families.
 
 Each identity is checked for every n = 0..n_max in one array pass and
-reported as a ResidualReport whose arrays are indexed by n.  The
-Schrodinger identity is checked in coefficient space on one stack of the
-psi-coefficients of every Phi_n: its band window psi_{n-D}..psi_{n+D},
-D = k(N-1), so the stack takes O(n_max D N^2) memory.  The other identities
-are read at points, from values of the psi recurrence, so none of them
+reported as a ResidualReport whose arrays are indexed by n.  Each reads
+alpha or Phi-tilde_n, never Phi_n = ||P_n|| Phi-tilde_n (the identities are
+linear in the rows, with diagonal left multipliers), and orthonormality
+alpha alone.  The Schrodinger identity is checked in coefficient space on
+one stack of the psi-coefficients of every Phi-tilde_n: its band window
+psi_{n-D}..psi_{n+D}, D = k(N-1), so the stack takes O(n_max D N^2) memory.
+The others are read at points, from values of the psi recurrence, so none
 compares a psi-phase or a psi-sign with itself: the Fourier eigen-equation
 and the real integral equations against the trapezoidal rule on a uniform
 grid, which converges geometrically for Gaussian-decaying analytic
 integrands (Trefethen & Weideman, SIAM Review 56, 2014), and the three-term
-relation of multiplication by x against the band matrix of `expansion`.
-All of them take their trapezoid sums and values from one shared table:
-every psi_m against cos and sin kernels, summed over every centred node
-range, so Phi_n keeps the nodes `quadrature_transform` would give it.
+relation of multiplication by x against the band matrix of `expansion`,
+all from one shared table of every psi_m against cos and sin kernels, summed
+over every centred node range (the nodes `quadrature_transform` would give).
 """
 
 import weakref
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import band_pattern
-from .families import FamilyContext, _finite
+from .families import FamilyContext, _windows
 from .hermite import wave_functions, wave_table
 from .matpoly import TRIM_TOL, MatrixGaussian, ladder
 from .structmat import _I_POW, phase_diag, trig_diag
@@ -41,10 +42,10 @@ def _half_count(degree):
 class ResidualReport:
     """Residual of one identity for n = 0..n_max: both arrays are indexed by n.
 
-    relative[n] is the residual over the size of Phi_n (of its coefficients
-    for an identity checked in coefficient space, of max(1, max |Phi_n|) at
-    the points for a pointwise one); pointwise[n] is the largest residual at
-    POINTWISE_GRID (ORACLE_GRID for the Fourier line).
+    relative[n] is the residual over the size of Phi-tilde_n: of its
+    coefficients in coefficient space, else 1, as |Phi-tilde_n(x)| < 1.
+    pointwise[n] is the largest residual at POINTWISE_GRID (ORACLE_GRID for the
+    Fourier line; the Gram residual itself for orthonormality).
     """
 
     variant: str
@@ -80,39 +81,50 @@ def _sizes(res, f, start):
 
 
 def _report(ctx, variant, relative, pointwise):
-    """The ResidualReport, or a ValueError naming the spec and the first n whose residual left the double range."""
+    """The ResidualReport, or a ValueError naming the spec and the first n whose residual is not finite (bad alpha)."""
     for n in np.flatnonzero(~np.isfinite(relative))[:1]:
-        _finite(relative[n], ctx.spec, n, f"the {variant} residual")
+        spec = ctx.spec
+        raise ValueError(f"kind {spec.kind}, N={spec.size}, nu={spec.nu}, n={n}: the {variant} residual is not finite")
     return ResidualReport(variant, relative, pointwise)
 
 
-def _phi_window(ctx, pad=0):
-    """psi-coefficients of every Phi_n as one stack: w[j, n] at psi_{start[n]+j}, start[n] = n - D - pad.
+def orthonormality_residual(ctx: FamilyContext):
+    """max |<Phi-tilde_n, Phi-tilde_m> - delta_nm I| over the pairs whose later index is n, read from alpha.
 
-    Entry (r, a) of Phi_n is ||P_n||_r alpha[n, r, a] at psi_{n+k(a-r)}.
+    Rows r of n and s of m share a psi index only when m - n = k(s - r): the Gram is |alpha[n, r]|^2 - 1 on the
+    diagonal, and off it row r of n against the rows q < r of n - k(r - q), at the plan's `same` as in `_table`.
+    """
+    N, D = ctx.size, ctx.spec.kind * (ctx.size - 1)
+    known = _windows(np.concatenate([np.zeros((D, N, N)), ctx.alpha]), ctx.n_max + 1, (D + 1) * N * N)
+    worst = np.abs(np.einsum("nra,nra->nr", ctx.alpha, ctx.alpha) - 1.0).max(axis=1)
+    for r in range(1, N):
+        pairs = np.einsum("nqa,na->nq", known[:, ctx.plan.same[r]], ctx.alpha[:, r])
+        worst = np.maximum(worst, np.abs(pairs).max(axis=1))
+    return _report(ctx, "orthonormality", worst, worst)
+
+
+def _phi_window(ctx, pad=0):
+    """psi-coefficients of every Phi-tilde_n as one stack: w[j, n] at psi_{start[n]+j}, start[n] = n - D - pad.
+
+    Entry (r, a) of Phi-tilde_n is alpha[n, r, a] at psi_{n+k(a-r)}.
     Coefficients above the degree a MatrixGaussian keeps (`matpoly.TRIM_TOL`)
-    are 0, so each Phi_n has the coefficients and degree of ctx.phi[n].
-    Returns (w, start, degree); ValueError past the double range, as ctx.phi[n].
+    are 0, so each has the coefficients and degree of ctx.phi_tilde[n].
+    Returns (w, start, degree).
     """
     N, n_max = ctx.size, ctx.n_max
     D = ctx.spec.kind * (N - 1)
-    with np.errstate(over="ignore"):
-        root = np.exp(0.5 * ctx.log_norms)  # as `build_family` makes it
-    for n in np.flatnonzero(~np.isfinite(root).all(axis=1))[:1]:
-        _finite(root[n], ctx.spec, n, "Phi_n")
     start = np.arange(n_max + 1) - D - pad
     n, r, a = np.ogrid[: n_max + 1, :N, :N]
     w = np.zeros((2 * (D + pad) + 1, n_max + 1, N, N))
-    w[ctx.plan.support - start[:, None, None], n, r, a] = ctx.alpha * root[:, :, None]
+    w[ctx.plan.support - start[:, None, None], n, r, a] = ctx.alpha
     sizes = np.abs(w).max(axis=(2, 3))
     top = w.shape[0] - 1 - np.argmax((sizes > TRIM_TOL * sizes.max(axis=0))[::-1], axis=0)
     w[np.arange(w.shape[0])[:, None] > top] = 0.0
     return w, start, start + top
 
 
-@np.errstate(over="ignore", invalid="ignore")  # `_report` raises on what leaves the double range
 def schrodinger_residual(ctx: FamilyContext):
-    """Residual of Phi_n'' - Phi_n (x^2 I + cJ) + ((2n+1) I + cJ) Phi_n for every n, by ladder steps on the stack."""
+    """Residual of Phi_n'' - Phi_n (x^2 I + cJ) + ((2n+1) I + cJ) Phi_n on Phi-tilde_n for every n, by ladder steps."""
     c = potential_shift(ctx.spec.kind)
     w, start, _ = _phi_window(ctx, pad=2)  # two leading zero rows: d^2/dx^2 and x^2 reach psi_{n-D-2}
     cJ = c * np.diag(ctx.structured.J)
@@ -155,12 +167,12 @@ _kept = None  # (weak reference to ctx, TRAPEZOID_STEP, `_kernel_sums` of ctx)
 
 
 def _kernel_sums(ctx):
-    """Trapezoid sums and values of every Phi_n at xs = POINTWISE_GRID then ORACLE_GRID; the last ones made are kept.
+    """Trapezoid sums and values of every Phi-tilde_n at xs = POINTWISE_GRID then ORACLE_GRID; the last ones are kept.
 
     Returns (cos, sin, values), each of shape (n, len(xs), N, N): step times
-    the sum over Phi_n's nodes t of cos(x t) Phi_n(t) and of sin(x t)
-    Phi_n(t), and Phi_n(x).  Phi_n takes the nodes step * (-h_n..h_n) that
-    `quadrature_transform` gives it.  psi_m has parity (-1)^m, so its sums
+    the sum over the nodes t of cos(x t) Phi-tilde_n(t) and of sin(x t)
+    Phi-tilde_n(t), and Phi-tilde_n(x).  Phi-tilde_n takes the nodes
+    step * (-h_n..h_n) that `quadrature_transform` gives it.  psi_m has parity (-1)^m, so its sums
     against the even cos and the odd sin kernel run over the nodes t >= 0
     (twice each t > 0), and one of them vanishes: the table holds, for each
     psi_m and each point x, the sum with cos (even m) or sin (odd m) over every
@@ -189,42 +201,33 @@ def _kernel_sums(ctx):
     return data
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def fourier_eigen_residual(ctx: FamilyContext):
-    """Residual of (Phi_n F_k)(x) = i^n i^{kJ} Phi_n(x), with k = kind, for every n, F_k by the trapezoidal rule.
+    """Residual of (Phi_n F_k)(x) = i^n i^{kJ} Phi_n(x), with k = kind, on Phi-tilde_n, F_k by the trapezoidal rule.
 
-    F_k Phi_n is `quadrature_transform`'s, on Phi_n's own nodes, at
-    ORACLE_GRID: relative[n] is the largest gap over max(1, max |Phi_n|)
-    there, pointwise[n] the largest gap itself.
+    F_k Phi-tilde_n is `quadrature_transform`'s, on its own nodes, at
+    ORACLE_GRID: relative[n] and pointwise[n] are the largest gap there.
     """
     (cos, sin, values), X, k = _kernel_sums(ctx), len(POINTWISE_GRID), ctx.spec.kind
     phase = np.diag(phase_diag(ctx.size, k))
     quad = (cos[:, X:] + 1j * sin[:, X:]) / np.sqrt(2.0 * np.pi) * phase  # column a times i^{kJ_a}
     eigen = _I_POW[np.arange(ctx.n_max + 1) % 4][:, None] * phase  # i^n i^{kJ_r} of row r
     gap = np.abs(quad - eigen[:, None, :, None] * values[:, X:]).max(axis=(1, 2, 3))
-    scale = np.maximum(1.0, np.abs(values[:, X:]).max(axis=(1, 2, 3)))
-    return _report(ctx, f"fourier_eigen_k{k}", gap / scale, gap)
+    return _report(ctx, f"fourier_eigen_k{k}", gap, gap)  # absolute: |psi_m| <= pi^{-1/4} and |alpha| <= 1
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def three_term_residual(ctx: FamilyContext):
     """Residual of x Phi-tilde_n(x) = sum_{|d|<=1} (x I)_{n,n+d} Phi-tilde_{n+d}(x) at POINTWISE_GRID, for n < n_max.
 
-    The blocks are the band of `band_pattern(ctx, 1)`, the values those of
-    Phi_n over ||P_n||, row by row.  relative[n] is the largest residual over
-    max(1, max |Phi-tilde_n|) at the points, pointwise[n] the residual itself;
-    both have n_max entries, as Phi-tilde_{n_max+1} is not built.
+    The blocks are the band of `band_pattern(ctx, 1)`; relative[n] = pointwise[n] is the largest residual at the
+    points, for n < n_max only, as Phi-tilde_{n_max+1} is not built.
     """
-    n_max, X = ctx.n_max, len(POINTWISE_GRID)
-    values = _kernel_sums(ctx)[2][:, :X] / np.exp(0.5 * ctx.log_norms)[:, None, :, None]  # row r over ||P_n||_r
+    n_max, values = ctx.n_max, _kernel_sums(ctx)[2][:, : len(POINTWISE_GRID)]
     band = band_pattern(ctx, 1).band[:n_max]  # (n, d + 1, r, s), 0 where n + d < 0
     rhs = np.einsum("ndrs,ndxsa->nxra", band, values[ctx.plan.near[0][:n_max]])
     resid = np.abs(POINTWISE_GRID[:, None, None] * values[:n_max] - rhs).max(axis=(1, 2, 3))
-    scale = np.maximum(1.0, np.abs(values[:n_max]).max(axis=(1, 2, 3)))
-    return _report(ctx, f"three_term_kind{ctx.spec.kind}", resid / scale, resid)
+    return _report(ctx, f"three_term_kind{ctx.spec.kind}", resid, resid)  # absolute, as |Phi-tilde_n(x)| < 1
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def real_integral_residual(ctx: FamilyContext, form="even", sign=+1):
     """One of the real integral equations for the polynomials P_n, for every n.
 
@@ -234,15 +237,14 @@ def real_integral_residual(ctx: FamilyContext, form="even", sign=+1):
     multipliers and uses the kernel k_{n+1}.  Family 2 has a single equation
     per parity (cos kernel for even n, sin for odd); form and sign are ignored.
 
-    Returns the report of the pointwise residual over POINTWISE_GRID, relative
-    to max(1, max |Phi_n|) there.  Both sides are real, as Phi_n is.
+    Returns the report of the absolute residual on Phi-tilde_n at POINTWISE_GRID; both sides are real, as it is.
     """
     N, n_max = ctx.size, ctx.n_max
     if ctx.spec.kind == 1 and form not in ("even", "odd"):
         raise ValueError("form must be 'even' or 'odd'")
     (cos, sin, values), X = _kernel_sums(ctx), len(POINTWISE_GRID)
     n = np.arange(n_max + 1)
-    phi_vals = values[:, :X]  # e^{-x^2/2} P_n(x) R(x)
+    phi_vals = values[:, :X]  # e^{-x^2/2} P_n(x) R(x) over ||P_n||, row by row
     # every multiplier is diagonal: e^{i pi J} (+-1), C_+ = cos((pi/2)J) and C_- = sin((pi/2)J), as vectors
     e, cp, cm = np.diag(phase_diag(N, 2)).real, np.diag(trig_diag(N, "cos")), np.diag(trig_diag(N, "sin"))
 
@@ -269,5 +271,4 @@ def real_integral_residual(ctx: FamilyContext, form="even", sign=+1):
         rhs = (coeff / np.sqrt(2.0 * np.pi))[:, None, None, None] * (front[:, None] * integ * back)
         variant = f"real_int_kind1_{form}_{'+' if s > 0 else '-'}"
     resid = np.abs(lhs - rhs).max(axis=(1, 2, 3))
-    scale = np.maximum(1.0, np.abs(phi_vals).max(axis=(1, 2, 3)))
-    return _report(ctx, variant, resid / scale, resid)
+    return _report(ctx, variant, resid, resid)  # absolute, as |Phi-tilde_n(x)| < 1

@@ -126,6 +126,9 @@ def test_parse_grid():
         # n! leaves the double range from n = 171; the norms_N2 line compares logs
         *(["--kind", kind, "--N", "2", "--nu", "1.0", "--nmax", n_max]
           for kind in "12" for n_max in ("175", "250", "330")),
+        # Phi_n = ||P_n|| Phi-tilde_n leaves it near n = 340; every line reads alpha or Phi-tilde_n
+        *(["--kind", kind, "--N", "2", "--nu", "1.0", "--nmax", "345"] for kind in "12"),
+        ["--kind", "1", "--N", "8", "--nu", ",".join(["0.8"] * 7), "--nmax", "400"],
     ],
 )
 def test_check_passes(capsys, family_args):
@@ -142,8 +145,8 @@ def test_check_passes(capsys, family_args):
 
 
 def test_check_scales_unnormalized_lines():
-    # Phi_10 of this family reaches ~8e3 on [-3, 3]; the real-integral and
-    # oracle lines are relative to max(1, max |Phi_n|) at their points
+    # Phi_10 of this family reaches ~8e3 on [-3, 3]; every line reads Phi-tilde_n,
+    # which stays below 1 in size, so the pointwise lines are absolute
     assert main(["check", "--kind", "2", "--N", "5", "--nu=-1.8,1.2,-1.6,0.9", "--nmax", "10"]) == 0
 
 

@@ -16,6 +16,7 @@ from matschroed.families import (
     build_family,
     closed_form_N2,
     gamma_seq,
+    right_factor_poly,
     weight_eval,
 )
 from matschroed.expansion import inner_product, inner_product_weighted
@@ -280,7 +281,7 @@ def test_boundary_rows_match_a_plain_svd(kind):
     assert np.all(ctx.alpha[~supported] == 0.0)
     one = supported.sum(axis=2) == 1
     assert one.any() and np.all(ctx.null_margin[one] == 1.0)
-    R_inv = ctx.right_factor_inv
+    R_inv = right_factor_poly(ctx.structured, kind, -1)
     for r in range(N):
         for n in range(n_max + 1):
             cols = [a for a in range(N) if n + kind * (a - r) >= 0]

@@ -278,7 +278,6 @@ DTYPES = {
     "right_mul": (lambda ctx, f: f.right_mul(REAL_C[1]), REAL),
     "add": (lambda ctx, f: f + ctx.phi[2], REAL),
     "sub": (lambda ctx, f: f - ctx.phi[2], REAL),
-    "conj_transpose": (lambda ctx, f: f.conj_transpose(), REAL),
     "inner_product": (lambda ctx, f: inner_product(f, ctx.phi[2]), REAL),
     "matrix_element": (lambda ctx, f: matrix_element(ctx, 1, 4, 5), REAL),
     "matrix_element zero": (lambda ctx, f: matrix_element(ctx, 1, 0, 5), REAL),

@@ -1,16 +1,21 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from hermite_reference import wave_poly
-from matschroed import operators
-from matschroed.expansion import matrix_element
-from matschroed.families import FamilySpec, build_family
+from matschroed import families, operators
+from matschroed.cli import DEFAULT_TOL, check_lines
+from matschroed.expansion import _gram_blocks, matrix_element
+from matschroed.families import FamilySpec, LazyTable, build_family
 from matschroed.matpoly import MatrixGaussian
 from matschroed.operators import (
     ORACLE_GRID,
     POINTWISE_GRID,
     TRAPEZOID_STEP,
     fourier_eigen_residual,
+    orthonormality_residual,
     potential_shift,
     quadrature_transform,
     real_integral_residual,
@@ -104,6 +109,59 @@ def test_real_integral_bad_form():
         real_integral_residual(ctx, form="bogus")
 
 
+def dense_orthonormality(ctx):
+    """|Gram - I| of the Parseval Gram of every Phi-tilde_n pair, each pair counted at its later index."""
+    n_max, N = ctx.n_max, ctx.size
+    gram = _gram_blocks(ctx.phi_tilde, ctx.phi_tilde)
+    err = np.abs(gram - np.eye(n_max + 1)[:, :, None, None] * np.eye(N)).max(axis=(2, 3))
+    return np.array([max(err[n, : n + 1].max(), err[: n + 1, n].max()) for n in range(n_max + 1)])
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 10, 60])
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_orthonormality_from_alpha_matches_the_dense_gram(kind, N, n_max):
+    ctx = build_family(FamilySpec(kind, N, np.resize([0.8, -1.3, 0.6, 1.1], N - 1)), n_max)
+    rep = orthonormality_residual(ctx)
+    assert rep.variant == "orthonormality" and rep.relative.shape == rep.pointwise.shape == (n_max + 1,)
+    np.testing.assert_allclose(rep.relative, dense_orthonormality(ctx), rtol=0, atol=1e-15)
+
+
+def orthonormality_line(ctx, alpha):
+    """The `orthonormality` line of `check_lines` and the dense Gram residual of a family whose table is alpha."""
+    placed = LazyTable(len(alpha), lambda n: families._function(alpha, ctx.spec, None, n))
+    changed = dataclasses.replace(ctx, alpha=alpha, phi_tilde=placed)
+    name, residual, limit = next(check_lines(changed, DEFAULT_TOL, 42))
+    assert name == "orthonormality"
+    return residual, limit, dense_orthonormality(changed).max()
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_orthonormality_line_sees_a_rotation_of_alpha(kind, N):
+    # rows 0 and 1 of alpha[5] turned by 1e-6 stay unit vectors to first order, but lose orthogonality to
+    # the rows of n = 5 - kind with the same eigenvalue: the line reads ~1e-6, as the dense Gram of the placement does
+    ctx = build_family(FamilySpec(kind, N, np.resize([0.8, -1.3, 0.6, 1.1], N - 1)), 10)
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    alpha = ctx.alpha.copy()
+    alpha[5, 0], alpha[5, 1] = c * ctx.alpha[5, 0] - s * ctx.alpha[5, 1], s * ctx.alpha[5, 0] + c * ctx.alpha[5, 1]
+    residual, limit, dense = orthonormality_line(ctx, alpha)
+    assert 1e-7 < residual and residual >= limit
+    assert residual == pytest.approx(dense, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_orthonormality_line_sees_a_row_off_unit_length(kind, N):
+    # at N = 1 no two rows share a psi index, so only the diagonal |alpha[n, r]|^2 - 1 sees this
+    ctx = build_family(FamilySpec(kind, N, np.resize([0.8, -1.3], N - 1)), 10)
+    alpha = ctx.alpha.copy()
+    alpha[5, N - 1] *= 1.0 + 1e-6
+    residual, limit, dense = orthonormality_line(ctx, alpha)
+    assert residual == pytest.approx(2e-6, rel=1e-5) and residual >= limit
+    assert residual == pytest.approx(dense, rel=0, abs=1e-15)
+
+
 @pytest.mark.parametrize("N", range(1, 7))
 def test_row_coverage(N):
     # the front multipliers C_+ = cos((pi/2)J) and C_- = sin((pi/2)J) of the real equations split the rows of P_n
@@ -158,14 +216,14 @@ def test_quadrature_oracle_converges(monkeypatch):
 
 
 def reference_lines(ctx, n):
-    """Every batched line at index n, from Phi_n = ctx.phi[n] alone: {name: (relative, pointwise, scale)}.
+    """Every batched line at index n, from Phi-tilde_n = ctx.phi_tilde[n] alone: {name: (relative, pointwise, scale)}.
 
     A coefficient-space line is relative to max |coefficient| of its function
-    (scale None); a pointwise one to scale = max(1, max |Phi_n|) at its points.
-    The three-term line, on Phi-tilde_n, exists for n < n_max only.
+    (scale None); a pointwise one to scale = max(1, max |Phi-tilde_n|) at its
+    points.  The three-term line exists for n < n_max only.
     """
     k, N = ctx.spec.kind, ctx.size
-    phi = ctx.phi[n]
+    phi = ctx.phi_tilde[n]
     lines = {}
 
     def coefficient_line(name, residual, f):
@@ -242,8 +300,24 @@ def test_batched_residuals_match_the_per_n_algebra(kind, N, n_max):
                 assert got[0] * scale == pytest.approx(got[1], rel=1e-12, abs=0), (name, n, got, scale)
 
 
-def test_residuals_past_the_double_range_name_the_index():
-    # Phi_n reaches ~1e307 near n = 339 at N = 2; its second derivative leaves the double range
-    ctx = build_family(FamilySpec(1, 2, [1.0]), 340)
-    with pytest.raises(ValueError, match=r"^kind 1, N=2, nu=\(1.0,\), n=339: the schrodinger_kind1 residual"):
-        schrodinger_residual(ctx)
+RESIDUALS = {
+    "orthonormality": operators.orthonormality_residual,
+    "schrodinger_kind1": schrodinger_residual,
+    "fourier_eigen_k1": fourier_eigen_residual,
+    "three_term_kind1": three_term_residual,
+    "real_int_kind1_even_+": real_integral_residual,
+}
+
+
+@pytest.mark.parametrize("variant", RESIDUALS)
+def test_residuals_of_a_non_finite_alpha_name_the_index(variant):
+    # every line reads alpha or Phi-tilde_n, which stay finite for any n, so only a bad alpha makes a residual
+    # non-finite; one NaN in alpha[5] reaches n = 4 first in the three-term line, which reads Phi-tilde_{n+1}
+    ctx = build_family(FamilySpec(1, 3, [0.8, -1.3]), 8)
+    alpha = ctx.alpha.copy()
+    alpha[5, 1, 2] = np.nan
+    bad = dataclasses.replace(ctx, alpha=alpha)
+    n = 4 if variant.startswith("three_term") else 5
+    message = rf"^kind 1, N=3, nu=\(0.8, -1.3\), n={n}: the {re.escape(variant)} residual is not finite$"
+    with pytest.raises(ValueError, match=message):
+        RESIDUALS[variant](bad)
