@@ -25,7 +25,7 @@ for n in (0, 3, 6):
     print(f"n={n}: Phi_n(x) - (-1)^n e^(i pi J) Phi_n(-x) e^(i pi J) = {(phi - mirrored).max_abs():.1e} (exactly)")
 for form in ("even", "odd"):
     for sign in (+1, -1):
-        worst = real_integral_residual(ctx1, form, sign).pointwise.max()
+        worst = real_integral_residual(ctx1, form, sign).relative.max()
         print(f"real equation ({form}, sign {sign:+d}): worst residual {worst:.2e}")
 cos_rows, sin_rows = (np.flatnonzero(np.diag(trig_diag(3, kind))).tolist() for kind in ("cos", "sin"))
 print(f"rows pinned by cos((pi/2)J): {cos_rows}, by sin((pi/2)J): {sin_rows}")
@@ -36,4 +36,4 @@ ctx2 = build_family(spec2, 6)
 print(f"--- family 2, N = 3 ---")
 rep = real_integral_residual(ctx2)  # cos kernel for even n, sin for odd n
 for n in range(7):
-    print(f"n={n}: {rep.variant} (parity {n % 2}) residual {rep.pointwise[n]:.2e}")
+    print(f"n={n}: {rep.variant} (parity {n % 2}) residual {rep.relative[n]:.2e}")

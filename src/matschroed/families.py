@@ -137,8 +137,8 @@ class FamilyContext:
     alpha (n_max+1, N, N) is the read-only table of `_table`; phi_tilde, phi
     and pn are LazyTables over it.  pn[n] is the MatrixGaussian of
     P_n(x) e^{-x^2/2} on psi_0..psi_n, and pn[n].poly_at(x) gives P_n(x).
-    norms[n] = ||P_n||^2 is inf once it leaves the double range (from n near
-    190 for N = 8); log_norms[n] holds log ||P_n||^2, finite for every n.
+    log_norms[n] holds the diagonal of log ||P_n||^2, finite for every n,
+    where ||P_n||^2 itself leaves the double range (from n near 190 for N = 8).
     null_margin[n, r] is the second-smallest over the largest singular value
     of the degree condition of row r of Phi-tilde_n (1.0 when the row has a
     single unknown): near machine epsilon, the row is barely determined.
@@ -149,7 +149,6 @@ class FamilyContext:
     n_max: int
     alpha: np.ndarray = field(repr=False)
     pn: LazyTable = field(repr=False)
-    norms: list = field(repr=False)
     phi: LazyTable = field(repr=False)
     phi_tilde: LazyTable = field(repr=False)
     log_norms: np.ndarray = field(repr=False)
@@ -379,7 +378,7 @@ def _poly(alpha, R_inv, spec, root, window, n):
 
 
 def build_family(spec, n_max):
-    """Construct the orthonormal functions, their norms and polynomials up to n_max.
+    """Construct the orthonormal functions, their log norms and polynomials up to n_max.
 
     Building takes the plan of (kind, N, n_max), made on the first build of
     that shape, and solves for the table alpha (`_table`, N stacked SVDs) and
@@ -402,8 +401,7 @@ def build_family(spec, n_max):
     alpha.flags.writeable = False
 
     log_norms = plan.log_scale[:, None] - 2.0 * np.log(lead)
-    with np.errstate(over="ignore"):  # ||P_n||^2 leaves the double range near n = 190, ||P_n|| near n = 340
-        norms = list(np.where(np.eye(N, dtype=bool), np.exp(log_norms)[:, None], 0.0))  # diag(exp(log_norms[n]))
+    with np.errstate(over="ignore"):  # ||P_n|| leaves the double range near n = 340
         root = np.exp(0.5 * log_norms)
     return FamilyContext(
         spec=spec,
@@ -411,7 +409,6 @@ def build_family(spec, n_max):
         n_max=n_max,
         alpha=alpha,
         pn=LazyTable(n_max + 1, functools.partial(_poly, alpha, R_inv, spec, root, [])),
-        norms=norms,
         phi=LazyTable(n_max + 1, functools.partial(_function, alpha, spec, root)),
         phi_tilde=LazyTable(n_max + 1, functools.partial(_function, alpha, spec, None)),
         log_norms=log_norms,
