@@ -5,7 +5,9 @@ x^2 I + 2J (family 1) or x^2 I + 4J (family 2), and is an eigenfunction of
 a Fourier-type integral transform with diagonal eigenvalue i^n i^{kJ}.
 The Schrodinger equation is checked in coefficient algebra, the transform
 eigen-equation against an independent trapezoidal quadrature; the exact
-transform is replayed through the same quadrature.
+transform is replayed through the same quadrature.  Both equations are
+linear in the rows of Phi_n, with diagonal left multipliers, so they are
+checked on the orthonormal Phi-tilde_n = ||P_n||^{-1} Phi_n.
 """
 
 import numpy as np
@@ -29,7 +31,7 @@ for spec in (FamilySpec(1, 3, [1.0, 0.5]), FamilySpec(2, 3, [1.0, 0.5])):
               f"transform residual {f.relative[n]:.2e}")
 
     # the exact transform against brute-force numerical integration
-    phi = ctx.phi[5]
+    phi = ctx.phi_tilde[5]
     exact = transform_apply(phi, spec.kind)
     xs = np.linspace(-5, 5, 11)
     quad = quadrature_transform(phi, spec.kind, xs)

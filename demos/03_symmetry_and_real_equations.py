@@ -6,7 +6,9 @@ imaginary parts yields real integral equations with sin/cos kernels.
 Family 1 has eight variants (two forms, two signs, two parities of n);
 family 2 has a single equation per parity.  Every row of P_n is pinned down
 by at least one variant: the front multipliers cos((pi/2)J) and
-sin((pi/2)J) split the rows between them.
+sin((pi/2)J) split the rows between them.  The symmetry and the equations
+are linear in the rows of Phi_n, with diagonal left multipliers, so they are
+shown on the orthonormal Phi-tilde_n = ||P_n||^{-1} Phi_n.
 """
 
 import numpy as np
@@ -20,9 +22,10 @@ ctx1 = build_family(spec1, 6)
 print(f"--- family 1, N = 3 ---")
 E = phase_diag(3, 2).real  # e^{i pi J}, diagonal +-1
 for n in (0, 3, 6):
-    phi = ctx1.phi[n]
-    mirrored = phi.reflect().scale((-1.0) ** n).left_mul(E).right_mul(E)  # (-1)^n e^{i pi J} Phi_n(-x) e^{i pi J}
-    print(f"n={n}: Phi_n(x) - (-1)^n e^(i pi J) Phi_n(-x) e^(i pi J) = {(phi - mirrored).max_abs():.1e} (exactly)")
+    phi = ctx1.phi_tilde[n]
+    mirrored = phi.reflect().scale((-1.0) ** n).left_mul(E).right_mul(E)  # (-1)^n e^{i pi J} Phi-tilde_n(-x) e^{i pi J}
+    print(f"n={n}: Phi-tilde_n(x) - (-1)^n e^(i pi J) Phi-tilde_n(-x) e^(i pi J) = {(phi - mirrored).max_abs():.1e} "
+          "(exactly)")
 for form in ("even", "odd"):
     for sign in (+1, -1):
         worst = real_integral_residual(ctx1, form, sign).relative.max()

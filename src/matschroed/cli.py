@@ -46,6 +46,8 @@ def mg_to_dict(f: MatrixGaussian):
 
 
 def mg_from_dict(data):
+    if not isinstance(data, dict):
+        raise ValueError(f"a function file must hold a JSON object, got {type(data).__name__}")
     N, d = data["N"], data["degree"]
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"'N' must be a positive integer, got {N!r}")
@@ -123,10 +125,10 @@ def positive(value, flag):
 def check_lines(ctx, tol, seed):
     """The lines of `check`, in print order: (name, residual, limit), each passing when residual < limit.
 
-    No line holds by construction: each compares the family with an independent
-    computation (the Gram of alpha, trapezoid transforms, point values, closed
-    forms or a seeded round trip).  Every line reads alpha or Phi-tilde_n, so
-    pointwise residuals are absolute, as |Phi-tilde_n(x)| < 1.
+    Each compares the family with an independent computation (the Gram of alpha, trapezoid transforms, point
+    values, closed forms or a seeded round trip); schrodinger, fourier_eigen and real_integral check the psi
+    placement only (ROADMAP item 4), as each psi_m solves them whatever alpha holds.  Every line reads alpha or
+    Phi-tilde_n, so pointwise residuals are absolute, as |Phi-tilde_n(x)| < 1.
     """
     spec, n_max, N = ctx.spec, ctx.n_max, ctx.size
     yield "orthonormality", orthonormality_residual(ctx).relative.max(), tol

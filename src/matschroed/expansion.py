@@ -232,8 +232,8 @@ def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
         raise ValueError(f"threshold must be a positive finite number, got {threshold}")
     if n_max is None:
         n_max = ctx.n_max
-    if n_max > ctx.n_max:
-        raise ValueError("n_max exceeds context")
+    if not 0 <= n_max <= ctx.n_max:
+        raise ValueError(f"n_max must be in 0..{ctx.n_max} (the family's n_max), got {n_max}")
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     band = _band(ctx, k, slice(0, n_max + 1), n_max)

@@ -22,8 +22,8 @@ take 0.59 MB).  The numeric pass forms T = band R^{-1} from
 R^{-1}, takes the constraint rows in one gather, orders them, runs the N
 stacked SVDs and signs and checks the rows; the SVDs are about two thirds of
 an N = 8 build at n_max 10 to 20 and four fifths at n_max 200 (one BLAS
-thread).  Phi-tilde_n, Phi_n and P_n e^{-x^2/2} = Phi_n R^{-1} are made from
-alpha when first read, all three as psi-coefficients (P_n from a T made again
+thread).  Phi-tilde_n and P_n e^{-x^2/2} = ||P_n|| Phi-tilde_n R^{-1} are made
+from alpha when first read, both as psi-coefficients (P_n from a T made again
 from the plan, so a family keeps no T); expansion, reconstruction and band
 matrices read alpha directly.
 """
@@ -31,9 +31,10 @@ matrices read alpha directly.
 import functools
 import json
 import math
+import numbers
 import threading
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +58,12 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in (1, 2):
             raise ValueError("kind must be 1 or 2")
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
+        if not (isinstance(self.size, numbers.Integral) and self.size >= 1):
+            raise ValueError(f"size must be an integer >= 1, got {self.size!r}")
+        nu = tuple(self.nu) if isinstance(self.nu, Iterable) and not isinstance(self.nu, str) else None
+        if nu is None or not all(isinstance(v, numbers.Real) for v in nu):
+            raise ValueError(f"nu must be a sequence of numbers, got {self.nu!r}")
+        object.__setattr__(self, "nu", tuple(float(v) for v in nu))
         if len(self.nu) != self.size - 1:
             raise ValueError(f"expected {self.size - 1} parameters, got {len(self.nu)}")
         if not all(math.isfinite(v) for v in self.nu):
@@ -71,6 +75,8 @@ class FamilySpec:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a family spec must be a JSON object, got {text!r}")
         return cls(kind=data["kind"], size=data["N"], nu=data["nu"])
 
 
@@ -134,23 +140,20 @@ class LazyTable(Sequence):
 class FamilyContext:
     """Everything built for one family up to index n_max.
 
-    alpha (n_max+1, N, N) is the read-only table of `_table`; phi_tilde, phi
-    and pn are LazyTables over it.  pn[n] is the MatrixGaussian of
-    P_n(x) e^{-x^2/2} on psi_0..psi_n, and pn[n].poly_at(x) gives P_n(x).
-    log_norms[n] holds the diagonal of log ||P_n||^2, finite for every n,
-    where ||P_n||^2 itself leaves the double range (from n near 190 for N = 8).
+    alpha (n_max+1, N, N) is the read-only table of `_table`.  log_norms[n]
+    holds the diagonal of log ||P_n||^2, finite for every n, where ||P_n||^2
+    itself leaves the double range (from n near 190 for N = 8).
     null_margin[n, r] is the second-smallest over the largest singular value
     of the degree condition of row r of Phi-tilde_n (1.0 when the row has a
     single unknown): near machine epsilon, the row is barely determined.
+    structured and the LazyTables phi_tilde and pn are made from these fields on
+    first read, then kept.  pn[n] is the MatrixGaussian of P_n(x) e^{-x^2/2} on
+    psi_0..psi_n; Phi_n is phi_tilde[n].left_mul(np.diag(np.exp(0.5 * log_norms[n]))).
     """
 
     spec: FamilySpec
-    structured: StructuredPair
     n_max: int
     alpha: np.ndarray = field(repr=False)
-    pn: LazyTable = field(repr=False)
-    phi: LazyTable = field(repr=False)
-    phi_tilde: LazyTable = field(repr=False)
     log_norms: np.ndarray = field(repr=False)
     null_margin: np.ndarray = field(repr=False)
 
@@ -162,6 +165,20 @@ class FamilyContext:
     def plan(self):
         """The shape plan of (kind, N, n_max), from the plan cache (made again if it was dropped)."""
         return _plan(self.spec.kind, self.size, self.n_max)
+
+    @functools.cached_property
+    def structured(self):
+        return build_structured(self.size, self.spec.nu)
+
+    @functools.cached_property
+    def phi_tilde(self):
+        return LazyTable(self.n_max + 1, functools.partial(_function, self.alpha, self.spec))
+
+    @functools.cached_property
+    def pn(self):
+        with np.errstate(over="ignore"):  # ||P_n|| leaves the double range near n = 340
+            root = np.exp(0.5 * self.log_norms)
+        return LazyTable(self.n_max + 1, functools.partial(_poly, _pn_window(self), root, self.spec))
 
 
 # Bytes of shape plans that `_plan` keeps, least recently used dropped first:
@@ -343,77 +360,65 @@ def _table(spec, T, plan):
     return alpha, np.abs(c), margin
 
 
-def _finite(values, spec, n, name):
-    """values, or a ValueError naming the spec, n and name when they have left the double range."""
+def _finite(values, spec, name):
+    """values, or a ValueError naming the spec and name (with its index n) when they have left the double range."""
     if not np.isfinite(values).all():
-        raise ValueError(f"kind {spec.kind}, N={spec.size}, nu={spec.nu}, n={n}: {name} leaves the double range")
+        raise ValueError(f"kind {spec.kind}, N={spec.size}, nu={spec.nu}, {name} leaves the double range")
     return values
 
 
-def _function(alpha, spec, scale, n):
-    """Phi-tilde_n, or Phi_n = diag(scale[n]) Phi-tilde_n: alpha[n] placed at its psi indices m."""
+def _function(alpha, spec, n):
+    """Phi-tilde_n: alpha[n] placed at its psi indices m."""
     N, k = spec.size, spec.kind
     rows, cols = np.indices((N, N))
     coeffs = np.zeros((n + k * (N - 1) + 1, N, N))
     coeffs[np.maximum(_plan(k, N, alpha.shape[0] - 1).support[n], 0), rows, cols] = alpha[n]  # 0 where m < 0
-    return MatrixGaussian(coeffs if scale is None else coeffs * _finite(scale[n], spec, n, "Phi_n")[:, None])
+    return MatrixGaussian(coeffs)
 
 
-def _poly(alpha, R_inv, spec, root, window, n):
-    """P_n(x) e^{-x^2/2} = Phi_n R^{-1} on psi_0..psi_n; the first call puts every P_n's psi_{n-2D}..psi_n in window."""
-    if not window:
-        n_max, N, k = alpha.shape[0] - 1, spec.size, spec.kind
-        D = k * (N - 1)
-        plan = _plan(k, N, n_max)
-        T = _product_table(plan, R_inv)
-        i, w, _, a = np.ogrid[: n_max + 1, : 2 * D + 1, :N, :N]
-        m = plan.support[:, None]  # (i, 1, r, a)
-        o = w - D - (m - i)  # offset of psi_{i-2D+w} from psi_m
-        prod = T[D + m, np.clip(o, 0, 2 * D), a] * ((o >= 0) & (o <= 2 * D))[..., None]
-        with np.errstate(over="ignore", invalid="ignore"):  # past the double range; `_finite` raises on read
-            window.append(np.einsum("iwrab,ira->iwrb", prod, alpha) * root[:, None, :, None])
+def _pn_window(ctx):
+    """Every Phi-tilde_n R^{-1} on psi_{n-2D}..psi_n, R^{-1} from ctx.structured: P_n e^{-x^2/2} before its ||P_n||."""
+    N, k, n_max, plan = ctx.size, ctx.spec.kind, ctx.n_max, ctx.plan
+    D = k * (N - 1)
+    T = _product_table(plan, right_factor_poly(ctx.structured, k, sign=-1))
+    i, w, _, a = np.ogrid[: n_max + 1, : 2 * D + 1, :N, :N]
+    m = plan.support[:, None]  # (i, 1, r, a)
+    o = w - D - (m - i)  # offset of psi_{i-2D+w} from psi_m
+    prod = T[D + m, np.clip(o, 0, 2 * D), a] * ((o >= 0) & (o <= 2 * D))[..., None]
+    return np.einsum("iwrab,ira->iwrb", prod, ctx.alpha)
+
+
+def _poly(window, root, spec, n):
+    """P_n(x) e^{-x^2/2} = Phi_n R^{-1} on psi_0..psi_n: row r of `_pn_window`'s window[n] times root[n, r]."""
     coeffs = np.zeros((n + 1, spec.size, spec.size))  # P_n has degree n
-    coeffs[max(0, n + 1 - window[0].shape[1]) :] = _finite(window[0][n, -(n + 1) :], spec, n, "P_n")
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range; `_finite` raises
+        row = window[n, -(n + 1) :] * root[n][:, None]
+    coeffs[max(0, n + 1 - window.shape[1]) :] = _finite(row, spec, f"n={n}: P_n")
     return MatrixGaussian(coeffs)
 
 
 def build_family(spec, n_max):
-    """Construct the orthonormal functions, their log norms and polynomials up to n_max.
+    """Construct the table alpha of the orthonormal functions, their log norms and null margins up to n_max.
 
     Building takes the plan of (kind, N, n_max), made on the first build of
     that shape, and solves for the table alpha (`_table`, N stacked SVDs) and
     nothing else.  With c_r the psi_n coefficient of column r of row r of
     Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)), Phi_n =
     ||P_n|| Phi-tilde_n, and P_n, the polynomial part of Phi_n R^{-1}
-    e^{x^2/2}, has a unit-diagonal leading coefficient.  phi_tilde[n] and
-    phi[n] are made on first read; the first pn read makes the
-    psi-coefficients of every P_n e^{-x^2/2} in one batch.  Reading phi[n] or
-    pn[n] raises ValueError once it leaves the double range (for N = 2, both
-    from n near 340).
+    e^{x^2/2}, has a unit-diagonal leading coefficient.  The context derives
+    phi_tilde[n] on first read; its first pn read makes the psi-coefficients
+    of every Phi-tilde_n R^{-1} in one batch (`_pn_window`), and pn[n] raises
+    ValueError once ||P_n|| leaves the double range (for N = 2, from n near
+    340).  A spec whose R^{-1} leaves the double range raises ValueError.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    pair = build_structured(spec.size, spec.nu)
-    N, k = spec.size, spec.kind
-    plan = _plan(k, N, n_max)
-    R_inv = right_factor_poly(pair, k, sign=-1)
-    alpha, lead, margin = _table(spec, _product_table(plan, R_inv), plan)
+    plan = _plan(spec.kind, spec.size, n_max)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_finite` raises on an R^{-1} past the double range
+        R_inv = right_factor_poly(build_structured(spec.size, spec.nu), spec.kind, sign=-1)
+    alpha, lead, margin = _table(spec, _product_table(plan, _finite(R_inv, spec, "R^{-1}")), plan)
     alpha.flags.writeable = False
-
-    log_norms = plan.log_scale[:, None] - 2.0 * np.log(lead)
-    with np.errstate(over="ignore"):  # ||P_n|| leaves the double range near n = 340
-        root = np.exp(0.5 * log_norms)
-    return FamilyContext(
-        spec=spec,
-        structured=pair,
-        n_max=n_max,
-        alpha=alpha,
-        pn=LazyTable(n_max + 1, functools.partial(_poly, alpha, R_inv, spec, root, [])),
-        phi=LazyTable(n_max + 1, functools.partial(_function, alpha, spec, root)),
-        phi_tilde=LazyTable(n_max + 1, functools.partial(_function, alpha, spec, None)),
-        log_norms=log_norms,
-        null_margin=margin,
-    )
+    return FamilyContext(spec, n_max, alpha, plan.log_scale[:, None] - 2.0 * np.log(lead), margin)
 
 
 def closed_form_N2(spec, n):

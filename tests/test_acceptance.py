@@ -84,12 +84,12 @@ def test_03_integral_eigen_equations(contexts, lines):
 
 
 def test_04_symmetry(contexts):
-    # f(x) = (-1)^n f(-x), conjugated by e^{i pi J} for family 1, for f = Phi_n and P_n e^{-x^2/2}; exactly, as
+    # f(x) = (-1)^n f(-x), conjugated by e^{i pi J} for family 1, for f = Phi-tilde_n and P_n e^{-x^2/2}; exactly, as
     # entry (r, a) of either holds only psi_m with m of the parity of n + kind (a - r)
     worst = 0.0
     for spec, ctx in contexts.items():
         for n in range(N_MAX + 1):
-            for f in (ctx.phi[n], ctx.pn[n]):
+            for f in (ctx.phi_tilde[n], ctx.pn[n]):
                 worst = max(worst, (f - reflected(f, spec.kind, n)).max_abs())
     print(f"{'PASS' if worst == 0.0 else 'FAIL'}  criterion  4  {'reflection symmetry':<38} {worst:.3e} == 0")
     assert worst == 0.0, f"criterion 4 (reflection symmetry): {worst:.3e}"

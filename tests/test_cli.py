@@ -42,20 +42,22 @@ GOOD = {"N": 2, "degree": 1, "coeffs": [[[1.0, 0.0]] * 4, [[0.5, -0.5]] * 4]}
 
 
 @pytest.mark.parametrize(
-    "patch, field",
+    "data, field",
     [
-        ({"degree": 2}, "'degree'"),  # more degrees than matrices
-        ({"coeffs": [[[1.0, 0.0]] * 4, [[0.5, -0.5]] * 3]}, "'coeffs'"),  # ragged matrices
-        ({"coeffs": [[[1.0, 0.0]] * 3, [[0.5, -0.5]] * 3]}, "'coeffs'"),  # fewer than N^2 entries
-        ({"coeffs": [[[1.0, 0.0]] * 4] * 3}, "'degree'"),  # more matrices than degree + 1
-        ({"coeffs": [[[float("nan"), 0.0]] * 4, [[0.5, -0.5]] * 4]}, "'coeffs'"),
+        ({**GOOD, "degree": 2}, "'degree'"),  # more degrees than matrices
+        ({**GOOD, "coeffs": [[[1.0, 0.0]] * 4, [[0.5, -0.5]] * 3]}, "'coeffs'"),  # ragged matrices
+        ({**GOOD, "coeffs": [[[1.0, 0.0]] * 3, [[0.5, -0.5]] * 3]}, "'coeffs'"),  # fewer than N^2 entries
+        ({**GOOD, "coeffs": [[[1.0, 0.0]] * 4] * 3}, "'degree'"),  # more matrices than degree + 1
+        ({**GOOD, "coeffs": [[[float("nan"), 0.0]] * 4, [[0.5, -0.5]] * 4]}, "'coeffs'"),
+        ([1, 2], "JSON object, got list"),  # not an object: no field to read
+        (None, "JSON object, got NoneType"),
     ],
-    ids=["degree-too-large", "ragged", "short-matrix", "extra-matrix", "nan"],
+    ids=["degree-too-large", "ragged", "short-matrix", "extra-matrix", "nan", "list", "null"],
 )
-def test_mg_from_dict_rejects_bad_input(tmp_path, capsys, patch, field):
+def test_mg_from_dict_rejects_bad_input(tmp_path, capsys, data, field):
     assert mg_from_dict(GOOD).degree == 1
     path = tmp_path / "f.json"
-    path.write_text(json.dumps({**GOOD, **patch}))
+    path.write_text(json.dumps(data))
     assert main(["transform", str(path), "--out", str(tmp_path / "o.json")]) == 2
     assert field in capsys.readouterr().err
 
@@ -153,6 +155,17 @@ def test_usage_errors(capsys):
     assert main(["check", "--spec", "{not json"]) == 2
     assert main(["density", "--kind", "1", "--N", "2", "--nu", "1.0", "--entry", "9,9"]) == 2
     assert main(["density", "--kind", "1", "--N", "2", "--nu", "1.0", "--grid", "bad"]) == 2
+    # malformed specs, an R^{-1} past the double range and a negative --nmax: a usage error, never a traceback
+    capsys.readouterr()
+    bad = ["[1]", '{"kind":1,"N":2,"nu":5}', '{"kind":1,"N":"2","nu":[1]}', '{"kind":1,"N":2,"nu":null}']
+    for spec in bad:
+        assert main(["check", "--spec", spec]) == 2
+    assert main(["check", "--kind", "1", "--N", "3", "--nu", "1e155,1e155"]) == 2
+    assert main(["matrix-elements", "--kind", "1", "--N", "2", "--nu", "1.0", "--nmax", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["error"] * 6, err
+    assert "JSON object" in err[0] and "nu must be" in err[1] and "size must be" in err[2] and "nu must be" in err[3]
+    assert "R^{-1} leaves the double range" in err[4] and "n_max must be in 0..0" in err[5]
     # a tolerance that is not a positive finite number: every line would read PASS (inf) or FAIL (nan, 0, < 0)
     capsys.readouterr()
     for tol in ("inf", "nan", "0", "-1e-9"):

@@ -179,8 +179,10 @@ def test_band_pattern_validation(contexts):
     for threshold in (0.0, -1e-10, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="threshold must be a positive finite number"):
             band_pattern(ctx, 1, threshold=threshold)
-    with pytest.raises(ValueError):
-        band_pattern(ctx, 1, n_max=99)
+    for n_max in (99, ctx.n_max + 1, -1):  # -1 must not reach numpy's reshape of an empty band
+        message = rf"n_max must be in 0\.\.{ctx.n_max} \(the family's n_max\), got {n_max}$"
+        with pytest.raises(ValueError, match=message):
+            band_pattern(ctx, 1, n_max=n_max)
 
 
 # -- expansion / reconstruction ---------------------------------------------

@@ -40,6 +40,27 @@ def test_spec_validation():
         FamilySpec(1, 3, [1.0])
     with pytest.raises(ValueError):
         FamilySpec(2, 3, [0.5, float("nan")])
+    # what malformed JSON gives: a size that is no integer, a nu that is no sequence of numbers
+    for size, nu in [("2", [1.0]), (2.0, [1.0]), (None, [])]:
+        with pytest.raises(ValueError, match=r"size must be an integer >= 1, got "):
+            FamilySpec(1, size, nu)
+    for nu in [5, None, "5", [[1.0]], ["1"], [None]]:
+        with pytest.raises(ValueError, match=r"nu must be a sequence of numbers, got "):
+            FamilySpec(1, 2, nu)
+    assert FamilySpec(1, np.int64(3), np.array([0.5, -1.0])).nu == (0.5, -1.0)
+    for text in ("[1]", "5", "null", '"spec"'):
+        with pytest.raises(ValueError, match="a family spec must be a JSON object"):
+            FamilySpec.from_json(text)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_right_factor_inverse_past_the_double_range_is_rejected(kind):
+    # entry (0, 2) of R^{-1} holds multiples of nu1 nu2 = 1e310, past the double range: a named ValueError,
+    # before any RuntimeWarning or a LinAlgError from the SVD
+    spec = FamilySpec(kind, 3, (1e155, 1e155))
+    message = rf"^kind {kind}, N=3, nu=\(1e\+155, 1e\+155\), R\^\{{-1\}} leaves the double range$"
+    with pytest.raises(ValueError, match=message):
+        build_family(spec, 4)
 
 
 def test_spec_json_roundtrip():
@@ -217,7 +238,7 @@ def test_orthonormality_at_n_max_200(kind):
     assert np.max(np.abs(G - np.eye((n_max + 1) * N)[-21 * N :])) <= 1e-12
 
 
-@pytest.mark.parametrize("which", ["phi_tilde", "phi", "pn"])
+@pytest.mark.parametrize("which", ["phi_tilde", "pn"])
 def test_function_table_is_a_read_only_sequence(which):
     # each item is built from alpha on first read and then kept
     ctx = build_family(FamilySpec(2, 3, [0.8, -1.3]), 6)
@@ -242,9 +263,34 @@ def test_function_table_is_a_read_only_sequence(which):
         return
     np.testing.assert_array_equal(again[5].coeffs, table[5].coeffs)
     for n, f in enumerate(table):
-        scale = np.exp(0.5 * ctx.log_norms[n]) if which == "phi" else np.ones(3)
         rows, cols = np.indices((3, 3))
-        np.testing.assert_array_equal(f.coeffs[np.maximum(n + 2 * (cols - rows), 0), rows, cols], scale[:, None] * ctx.alpha[n])
+        np.testing.assert_array_equal(f.coeffs[np.maximum(n + 2 * (cols - rows), 0), rows, cols], ctx.alpha[n])
+
+
+def test_replaced_context_reads_its_own_alpha_and_spec():
+    # structured, phi_tilde and pn are made from the fields on first read, so a copy made by
+    # `dataclasses.replace` does not keep the views its source read
+    ctx = build_family(FamilySpec(1, 3, [0.8, -1.3]), 10)
+    assert [f.name for f in dataclasses.fields(ctx)] == ["spec", "n_max", "alpha", "log_norms", "null_margin"]
+    before = ctx.phi_tilde[5], ctx.pn[5], ctx.structured
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    alpha = ctx.alpha.copy()
+    alpha[5, 0], alpha[5, 1] = c * ctx.alpha[5, 0] - s * ctx.alpha[5, 1], s * ctx.alpha[5, 0] + c * ctx.alpha[5, 1]
+    turned = dataclasses.replace(ctx, alpha=alpha)
+    rows, cols = np.indices((3, 3))
+    for n in (4, 5):
+        np.testing.assert_array_equal(turned.phi_tilde[n].coeffs[np.maximum(n + cols - rows, 0), rows, cols], alpha[n])
+    assert np.abs(turned.phi_tilde[5].coeffs - before[0].coeffs).max() > 1e-7
+    # a new spec: its own nu in structured, and pn = ||P_n|| Phi-tilde_n R^{-1} with the new nu's R^{-1}
+    spec = FamilySpec(1, 3, [0.5, 2.0])
+    moved = dataclasses.replace(ctx, spec=spec)
+    assert moved.structured.nu.tolist() == list(spec.nu) and before[2].nu.tolist() == [0.8, -1.3]
+    R_inv = right_factor_poly(build_structured(3, spec.nu), 1, -1)
+    for n in (0, 5, 10):
+        Phi = ctx.phi_tilde[n].left_mul(np.diag(np.exp(0.5 * ctx.log_norms[n])))
+        expected = poly_times(Phi.coeffs, R_inv)[: n + 1]
+        np.testing.assert_allclose(moved.pn[n].coeffs, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    assert np.abs(moved.pn[5].coeffs - before[1].coeffs).max() > 1e-3 * np.abs(before[1].coeffs).max()
 
 
 def test_consistency_error_names_spec_and_index():
@@ -386,18 +432,17 @@ def test_pn_built_in_one_batch_on_first_read(monkeypatch):
 
 @pytest.mark.parametrize("kind", [1, 2])
 def test_no_overflow_up_to_n_max_400(kind):
-    # ||P_n||, and with it Phi_n and the psi-coefficients of P_n, leave the double range near n = 340
+    # ||P_n||, and with it the psi-coefficients of P_n, leave the double range near n = 340
     spec = FamilySpec(kind, 2, (0.8,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ctx = build_family(spec, 400)
         assert np.all(np.isfinite(ctx.alpha)) and np.all(np.isfinite(ctx.log_norms))
         assert np.isfinite(ctx.phi_tilde[400].coeffs).all()
-        assert np.isfinite(ctx.phi[300].coeffs).all() and np.isfinite(ctx.pn[300].coeffs).all()
+        assert np.isfinite(ctx.phi_tilde[300].coeffs).all() and np.isfinite(ctx.pn[300].coeffs).all()
         for n in (360, 400):
-            for table, name in ((ctx.phi, "Phi_n"), (ctx.pn, "P_n")):
-                with pytest.raises(ValueError, match=rf"kind {kind}, N=2, nu=\(0\.8,\), n={n}: {name} leaves"):
-                    table[n]
+            with pytest.raises(ValueError, match=rf"kind {kind}, N=2, nu=\(0\.8,\), n={n}: P_n leaves"):
+                ctx.pn[n]
 
 
 def test_log_norms_finite_where_norms_overflow():

@@ -262,9 +262,9 @@ REAL_C = RNG.standard_normal((7, 3, 3))
 COMPLEX_C = REAL_C + 1j * RNG.standard_normal((7, 3, 3))
 DTYPES = {
     "phi_tilde": (lambda ctx, f: f, REAL),
-    "phi": (lambda ctx, f: ctx.phi[4], REAL),
+    "phi": (lambda ctx, f: f.left_mul(np.diag(np.exp(0.5 * ctx.log_norms[4]))), REAL),  # Phi_4
     "phi_tilde values": (lambda ctx, f: f(X), REAL),
-    "phi values": (lambda ctx, f: ctx.phi[4](X), REAL),
+    "phi values": (lambda ctx, f: f.left_mul(np.diag(np.exp(0.5 * ctx.log_norms[4])))(X), REAL),
     "polynomial part": (lambda ctx, f: f.poly_at(X), REAL),
     "closed_form_N2": (lambda ctx, f: closed_form_N2(FamilySpec(2, 2, [0.7]), 5), REAL),
     "integer input": (lambda ctx, f: MatrixGaussian(np.arange(8).reshape(2, 2, 2)), REAL),
@@ -276,15 +276,15 @@ DTYPES = {
     "scale": (lambda ctx, f: f.scale(-2.5), REAL),
     "left_mul": (lambda ctx, f: f.left_mul(REAL_C[0]), REAL),
     "right_mul": (lambda ctx, f: f.right_mul(REAL_C[1]), REAL),
-    "add": (lambda ctx, f: f + ctx.phi[2], REAL),
-    "sub": (lambda ctx, f: f - ctx.phi[2], REAL),
-    "inner_product": (lambda ctx, f: inner_product(f, ctx.phi[2]), REAL),
+    "add": (lambda ctx, f: f + ctx.phi_tilde[2], REAL),
+    "sub": (lambda ctx, f: f - ctx.phi_tilde[2], REAL),
+    "inner_product": (lambda ctx, f: inner_product(f, ctx.phi_tilde[2]), REAL),
     "matrix_element": (lambda ctx, f: matrix_element(ctx, 1, 4, 5), REAL),
     "matrix_element zero": (lambda ctx, f: matrix_element(ctx, 1, 0, 5), REAL),
     "band_pattern flat": (lambda ctx, f: band_pattern(ctx, 1).flat, REAL),
     "band_pattern blocks": (lambda ctx, f: band_pattern(ctx, 2).blocks, REAL),
     "reconstruct real": (lambda ctx, f: reconstruct(CoefficientExpansion(ctx.spec, 6, REAL_C), ctx), REAL),
-    "expand real": (lambda ctx, f: expand(ctx.phi[3], ctx).coeffs, REAL),
+    "expand real": (lambda ctx, f: expand(ctx.phi_tilde[3], ctx).coeffs, REAL),
     "fourier": (lambda ctx, f: f.fourier(), COMPLEX),
     "transform_apply": (lambda ctx, f: transform_apply(f, 1), COMPLEX),
     "scale(1j)": (lambda ctx, f: f.scale(1j), COMPLEX),
@@ -319,9 +319,8 @@ def test_real_evaluation_matches_complex_path(kind, N, n_max):
     nu = np.resize([0.8, -0.6, 0.9, 0.7], N - 1)
     ctx = build_family(FamilySpec(kind, N, nu), n_max)
     xs = np.linspace(-12.0, 12.0, 801)
-    for table in (ctx.phi_tilde, ctx.phi):
-        for n in (0, 1, n_max // 2, n_max):
-            f = table[n]
+    for n in (0, 1, n_max // 2, n_max):
+        for f in (ctx.phi_tilde[n], ctx.phi_tilde[n].left_mul(np.diag(np.exp(0.5 * ctx.log_norms[n])))):  # and Phi_n
             c = MatrixGaussian(f.coeffs + 0j)
             for real, cplx in ((f(xs), c(xs)), (f.poly_at(xs[::50]), c.poly_at(xs[::50]))):
                 assert real.dtype == REAL and cplx.dtype == COMPLEX

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hermite_reference import wave_poly
-from matschroed import families, operators
+from matschroed import operators
 from matschroed.cli import DEFAULT_TOL, check_lines
 from matschroed.expansion import _gram_blocks, matrix_element
-from matschroed.families import FamilySpec, LazyTable, build_family
+from matschroed.families import FamilySpec, build_family
 from matschroed.matpoly import MatrixGaussian
 from matschroed.operators import (
     POINTWISE_GRID,
@@ -66,7 +66,7 @@ def test_fourier_eigen_against_quadrature(contexts, spec):
     k = spec.kind
     xs = np.linspace(-5, 5, 21)
     for n in (0, 3, 8):
-        phi = ctx.phi[n]
+        phi = ctx.phi_tilde[n]
         lhs = quadrature_transform(phi, k, xs)
         rhs = np.einsum("ab,xbc->xac", (1j) ** n * phase_diag(spec.size, k), phi(xs))
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * max(1.0, phi.max_abs())
@@ -82,11 +82,11 @@ def reflected(f, kind, n):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
-@pytest.mark.parametrize("target", ["phi", "poly"])
-def test_reflection_symmetry(contexts, spec, target):
-    # exact: entry (r, a) of Phi_n and of P_n e^{-x^2/2} only holds psi_m with m of the parity of n + kind (a - r)
-    for n, f in enumerate(getattr(contexts[spec], "phi" if target == "phi" else "pn")):
-        assert (f - reflected(f, spec.kind, n)).max_abs() == 0.0, (n, target)
+@pytest.mark.parametrize("table", ["phi_tilde", "pn"], ids=["phi", "poly"])
+def test_reflection_symmetry(contexts, spec, table):
+    # exact: entry (r, a) of Phi-tilde_n and of P_n e^{-x^2/2} only holds psi_m with m of the parity of n + kind (a - r)
+    for n, f in enumerate(getattr(contexts[spec], table)):
+        assert (f - reflected(f, spec.kind, n)).max_abs() == 0.0, (n, table)
 
 
 @pytest.mark.parametrize("spec", [SPECS[0], SPECS[1], SPECS[2]], ids=str)
@@ -129,8 +129,7 @@ def test_orthonormality_from_alpha_matches_the_dense_gram(kind, N, n_max):
 
 def orthonormality_line(ctx, alpha):
     """The `orthonormality` line of `check_lines` and the dense Gram residual of a family whose table is alpha."""
-    placed = LazyTable(len(alpha), lambda n: families._function(alpha, ctx.spec, None, n))
-    changed = dataclasses.replace(ctx, alpha=alpha, phi_tilde=placed)
+    changed = dataclasses.replace(ctx, alpha=alpha)
     name, residual, limit = next(check_lines(changed, DEFAULT_TOL, 42))
     assert name == "orthonormality"
     return residual, limit, dense_orthonormality(changed).max()
