@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .expansion import CoefficientExpansion, band_pattern, expand, reconstruct
-from .families import FamilySpec, build_family, closed_form_N2, gamma_seq
+from .families import FamilySpec, _closed_alpha, build_family, gamma_seq
 from .matpoly import MatrixGaussian
 from .operators import (
     POINTWISE_GRID,
@@ -126,9 +126,9 @@ def check_lines(ctx, tol, seed):
     """The lines of `check`, in print order: (name, residual, limit), each passing when residual < limit.
 
     Each compares the family with an independent computation (the Gram of alpha, trapezoid transforms, point
-    values, closed forms or a seeded round trip); schrodinger, fourier_eigen and real_integral check the psi
-    placement only (ROADMAP item 4), as each psi_m solves them whatever alpha holds.  Every line reads alpha or
-    Phi-tilde_n, so pointwise residuals are absolute, as |Phi-tilde_n(x)| < 1.
+    values, the N = 2 closed form as a table of alpha or a seeded round trip); schrodinger, fourier_eigen and
+    real_integral check the psi placement only (ROADMAP item 4), as each psi_m solves them whatever alpha holds.
+    Every line reads alpha or Phi-tilde_n, so pointwise residuals are absolute, as |Phi-tilde_n(x)| < 1.
     """
     spec, n_max, N = ctx.spec, ctx.n_max, ctx.size
     yield "orthonormality", orthonormality_residual(ctx).relative.max(), tol
@@ -138,7 +138,7 @@ def check_lines(ctx, tol, seed):
     yield "real_integral", max(real_integral_residual(ctx, *v).relative.max() for v in variants), max(tol, 1e-8)
 
     if N == 2:
-        closed = max((closed_form_N2(spec, n) - ctx.phi_tilde[n]).max_abs() for n in range(n_max + 1))
+        closed = float(np.abs(_closed_alpha(spec, n_max) - ctx.alpha).max())  # both tables place (r, a) at psi_m
         # ||P_n||^2 = n! sqrt(pi) / 2^n diag(g_{n+kind}, 1 / g_n), compared in logs: n! leaves the double range
         g, n = gamma_seq(spec, n_max + 4), np.arange(n_max + 1)
         log_scale = np.array([math.lgamma(j + 1) for j in n]) - n * math.log(2.0) + 0.5 * math.log(math.pi)

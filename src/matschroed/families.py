@@ -47,6 +47,11 @@ class ConsistencyError(RuntimeError):
     """A structural identity the construction relies on failed numerically."""
 
 
+def _integer(value):
+    """An int, numpy's included, but no bool: True is an Integral, and True == 1.0 == 1 would pass `in (1, 2)`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Which family (1 or 2), matrix size N and superdiagonal parameters nu."""
@@ -56,14 +61,15 @@ class FamilySpec:
     nu: tuple
 
     def __post_init__(self):
-        if self.kind not in (1, 2):
-            raise ValueError("kind must be 1 or 2")
-        if not (isinstance(self.size, numbers.Integral) and self.size >= 1):
+        if not (_integer(self.kind) and self.kind in (1, 2)):
+            raise ValueError(f"kind must be 1 or 2, got {self.kind!r}")
+        if not (_integer(self.size) and self.size >= 1):
             raise ValueError(f"size must be an integer >= 1, got {self.size!r}")
         nu = tuple(self.nu) if isinstance(self.nu, Iterable) and not isinstance(self.nu, str) else None
-        if nu is None or not all(isinstance(v, numbers.Real) for v in nu):
+        if nu is None or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in nu):
             raise ValueError(f"nu must be a sequence of numbers, got {self.nu!r}")
-        object.__setattr__(self, "nu", tuple(float(v) for v in nu))
+        for name, value in (("kind", int(self.kind)), ("size", int(self.size)), ("nu", tuple(map(float, nu)))):
+            object.__setattr__(self, name, value)  # plain int and float, as `to_json` writes them
         if len(self.nu) != self.size - 1:
             raise ValueError(f"expected {self.size - 1} parameters, got {len(self.nu)}")
         if not all(math.isfinite(v) for v in self.nu):
@@ -242,10 +248,16 @@ class _Plan:
         return sum(x.nbytes for x in self.arrays)
 
 
+def _shift(k, N):
+    """m - n of entry (r, a) of Phi-tilde_n, which is alpha[n, r, a] psi_m: k(a - r)."""
+    a = np.arange(N)
+    return k * (a - a[:, None])
+
+
 def _make_plan(k, N, n_max):
     D, n, a = k * (N - 1), np.arange(n_max + 1), np.arange(N)
     W = 2 * D + 1  # psi offsets per m in T
-    shift = k * (a - a[:, None])  # m - n of row r, column a
+    shift = _shift(k, N)
     owner, i, b = np.nonzero(np.arange(1, D + 1)[:, None] <= shift[:, None])  # psi_{n+i+1} of column b
     high = ((D + shift[owner]) * W + D + 1 + i[:, None] - shift[owner]) * N * N + a * N + b[:, None]
     diag = ((D + shift) * W + D - shift) * N * N + a * N + a[:, None]
@@ -322,8 +334,9 @@ def _table(spec, T, plan):
     N, k, n_max = spec.size, spec.kind, plan.log_scale.size - 1
     D, unsupported, pinned = k * (N - 1), plan.unsupported, plan.pinned
     window = _windows(T, n_max + 1, T[: 2 * D + 1].size)
-    order = np.lexsort((-np.linalg.norm(window[-1, plan.high], axis=1), plan.owner))  # by row, largest first
-    high = window[:, plan.high[order]]
+    with np.errstate(over="ignore"):  # a norm past the double range sorts as inf
+        order = np.lexsort((-np.linalg.norm(window[-1, plan.high], axis=1), plan.owner))  # by row, largest first
+    high = _finite(window[:, plan.high[order]], spec, "the product table T = band R^{-1}")  # an SVD of inf hangs
     padded = np.zeros((D + n_max + 1, N, N))  # alpha behind D zero rows: the rows q < r of n < k(r - q)
     alpha, known = padded[D:], _windows(padded, n_max + 1, (D + 1) * N * N)
     s = np.empty((n_max + 1, N, N))
@@ -372,7 +385,7 @@ def _function(alpha, spec, n):
     N, k = spec.size, spec.kind
     rows, cols = np.indices((N, N))
     coeffs = np.zeros((n + k * (N - 1) + 1, N, N))
-    coeffs[np.maximum(_plan(k, N, alpha.shape[0] - 1).support[n], 0), rows, cols] = alpha[n]  # 0 where m < 0
+    coeffs[np.maximum(n + _shift(k, N), 0), rows, cols] = alpha[n]  # 0 where m < 0
     return MatrixGaussian(coeffs)
 
 
@@ -409,40 +422,32 @@ def build_family(spec, n_max):
     phi_tilde[n] on first read; its first pn read makes the psi-coefficients
     of every Phi-tilde_n R^{-1} in one batch (`_pn_window`), and pn[n] raises
     ValueError once ||P_n|| leaves the double range (for N = 2, from n near
-    340).  A spec whose R^{-1} leaves the double range raises ValueError.
+    340).  A spec whose R^{-1} or product table T leaves the double range raises ValueError.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     plan = _plan(spec.kind, spec.size, n_max)
-    with np.errstate(over="ignore", invalid="ignore"):  # `_finite` raises on an R^{-1} past the double range
+    with np.errstate(over="ignore", invalid="ignore"):  # `_finite` raises on an R^{-1} or T past the double range
         R_inv = right_factor_poly(build_structured(spec.size, spec.nu), spec.kind, sign=-1)
-    alpha, lead, margin = _table(spec, _product_table(plan, _finite(R_inv, spec, "R^{-1}")), plan)
+        T = _product_table(plan, _finite(R_inv, spec, "R^{-1}"))
+    alpha, lead, margin = _table(spec, T, plan)
     alpha.flags.writeable = False
     return FamilyContext(spec, n_max, alpha, plan.log_scale[:, None] - 2.0 * np.log(lead), margin)
 
 
+def _closed_alpha(spec, n_max):
+    """The table alpha of the N = 2 closed form for n = 0..n_max; entry (1, 0) is 0 for n < kind, where m < 0."""
+    nu1, n = spec.nu[0], np.arange(n_max + 1)
+    g = gamma_seq(spec, n_max + 2)
+    if spec.kind == 1:
+        up, down = nu1 * np.sqrt((n + 1) / (2.0 * g[n + 1])), -nu1 * np.sqrt(n / (2.0 * g[n]))
+    else:
+        up, down = 0.5 * nu1 * np.sqrt((n + 1) * (n + 2) / g[n + 2]), -0.5 * nu1 * np.sqrt(n * (n - 1) / g[n])
+    return np.stack([1.0 / np.sqrt(g[n + spec.kind]), up, down, 1.0 / np.sqrt(g[n])], axis=1).reshape(-1, 2, 2)
+
+
 def closed_form_N2(spec, n):
-    """The explicit normalized Phi-tilde_n for N = 2: each entry is a multiple of one wave function."""
+    """The explicit normalized Phi-tilde_n for N = 2: row n of `_closed_alpha`, placed as `phi_tilde[n]` is."""
     if spec.size != 2:
         raise ValueError("closed forms are available for N = 2 only")
-    nu1 = spec.nu[0]
-    g = gamma_seq(spec, n + 3)
-    if spec.kind == 1:
-        entries = {
-            (0, 0): (n, 1.0 / np.sqrt(g[n + 1])),
-            (0, 1): (n + 1, nu1 * np.sqrt((n + 1) / (2.0 * g[n + 1]))),
-            (1, 0): (n - 1, -nu1 * np.sqrt(n / (2.0 * g[n]))),
-            (1, 1): (n, 1.0 / np.sqrt(g[n])),
-        }
-    else:
-        entries = {
-            (0, 0): (n, 1.0 / np.sqrt(g[n + 2])),
-            (0, 1): (n + 2, 0.5 * nu1 * np.sqrt((n + 1) * (n + 2) / g[n + 2])),
-            (1, 0): (n - 2, -0.5 * nu1 * np.sqrt(n * (n - 1) / g[n])),
-            (1, 1): (n, 1.0 / np.sqrt(g[n])),
-        }
-    coeffs = np.zeros((n + spec.kind + 1, 2, 2))
-    for (i, j), (m, c) in entries.items():
-        if m >= 0:
-            coeffs[m, i, j] = c
-    return MatrixGaussian(coeffs)
+    return _function(_closed_alpha(spec, n), spec, n)

