@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import FamilyContext, FamilySpec, _windows, build_structured, right_factor_poly
+from .families import FamilyContext, FamilySpec, _behind, build_structured, right_factor_poly
 from .matpoly import MatrixGaussian, poly_times
 
 # largest |F - sum C_n Phi-tilde_n|, relative to max |F| (both over psi-coefficients), that `expand` accepts
@@ -88,13 +88,6 @@ class CoefficientExpansion:
     spec: FamilySpec
     n_max: int
     coeffs: np.ndarray = field(repr=False)
-
-
-def _behind(X, count, D):
-    """Rows j-D..j+D of X (0 outside its rows) for j < count, flattened: one view over X placed behind D zero rows."""
-    padded = np.zeros((count + 2 * D,) + X.shape[1:], dtype=X.dtype)
-    padded[D : D + min(len(X), count + D)] = X[: count + D]
-    return _windows(padded, count, (2 * D + 1) * X[0].size)
 
 
 def _change(X, weights, plan, D):

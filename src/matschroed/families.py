@@ -90,14 +90,15 @@ def gamma_seq(spec, n_max):
     """The scalar normalization sequence for N = 2 closed forms.
 
     Family 1: gamma_n = 1 + n nu1^2 / 2.  Family 2: gamma_n = 1 + (nu1^2/2) C(n, 2).
+    A gamma_n past the double range raises a ValueError that names the spec.
     """
     if spec.size != 2:
         raise ValueError("gamma sequence is defined for N = 2 only")
-    nu1 = spec.nu[0]
+    nu1 = np.float64(spec.nu[0])  # a numpy scalar: past the double range nu1 ** 2 is inf, not OverflowError
     n = np.arange(n_max + 1)
-    if spec.kind == 1:
-        return 1.0 + 0.5 * n * nu1 ** 2
-    return 1.0 + 0.5 * nu1 ** 2 * (n * (n - 1) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 inf at n = 0: `_finite` raises
+        g = 1.0 + 0.5 * n * nu1 ** 2 if spec.kind == 1 else 1.0 + 0.5 * nu1 ** 2 * (n * (n - 1) / 2.0)
+    return _finite(g, spec, "gamma_n")
 
 
 def right_factor_poly(pair: StructuredPair, kind, sign=1):
@@ -312,6 +313,13 @@ def _windows(x, count, width):
     return np.ndarray((count, width), x.dtype, x, strides=(x[0].nbytes, x.itemsize))
 
 
+def _behind(X, count, D):
+    """Rows j-D..j+D of X (0 outside its rows) for j < count, flattened: one view over X placed behind D zero rows."""
+    padded = np.zeros((count + 2 * D,) + X.shape[1:], dtype=X.dtype)
+    padded[D : D + min(len(X), count + D)] = X[: count + D]
+    return _windows(padded, count, (2 * D + 1) * X[0].size)
+
+
 def _table(spec, T, plan):
     """The coefficient table alpha of Phi-tilde_0..n_max, its leading coefficients and null-space margins.
 
@@ -324,12 +332,13 @@ def _table(spec, T, plan):
     offsets, largest first at n_max for a QR accurate row by row, and each r
     takes one stacked SVD for all n.  A column with m < 0 (a < r, n < kr) has
     zero constraints and one pinning row e_a at the Frobenius norm of the rest
-    (1 if 0); its singular value sorts first, and the rank tolerance (numpy's
-    default, from the supported block's width and unpruned height), null-space
-    check and margin read the supported block.  Zero rows pad a matrix to N
-    rows.  Signs (orthogonality ignores them) and checks follow in one pass; a
-    failing row feeds only rows of larger n, so the smallest failing (n, row)
-    raises ConsistencyError.
+    (1 if 0; a norm past the double range raises ValueError); its singular
+    value sorts first, and the rank tolerance (numpy's default, from the
+    supported block's width and unpruned height), null-space check and margin
+    read the supported block.  Zero rows pad a matrix to N rows.  Signs
+    (orthogonality ignores them) and checks follow in one pass; a failing row
+    feeds only rows of larger n, so the smallest failing (n, row) raises
+    ConsistencyError.
     """
     N, k, n_max = spec.size, spec.kind, plan.log_scale.size - 1
     D, unsupported, pinned = k * (N - 1), plan.unsupported, plan.pinned
@@ -348,10 +357,11 @@ def _table(spec, T, plan):
         M[:, h : h + r] = known[:, plan.same[r]]
         if r:  # pin row j is e_j, nonzero for the unsupported columns j < r of n < kr
             pinning = M[: k * r]
-            scale = np.linalg.norm(pinning[:, : h + r], axis=(1, 2))
-            pins = unsupported[: k * r, r, :p] * np.where(scale > 0, scale, 1.0)[:, None]
+            with np.errstate(over="ignore", invalid="ignore"):  # a norm past the double range: `_finite` raises
+                scale = np.linalg.norm(pinning[:, : h + r], axis=(1, 2))
+                pins = unsupported[: k * r, r, :p] * np.where(scale > 0, scale, 1.0)[:, None]
             pinning[:, h + r :].reshape(len(pinning), -1)[:, :: N + 1] = pins
-        _, s[:, r], vh = np.linalg.svd(M, full_matrices=False)
+        _, s[:, r], vh = np.linalg.svd(_finite(M, spec, f"the pinned degree condition of row {r}"), full_matrices=False)
         alpha[:, r] = vh[:, -1] * ~unsupported[:, r]
     top = s.take(plan.top)  # s[n, r, pinned:] are the supported block's singular values
     tol = top * plan.tol
@@ -422,7 +432,7 @@ def build_family(spec, n_max):
     phi_tilde[n] on first read; its first pn read makes the psi-coefficients
     of every Phi-tilde_n R^{-1} in one batch (`_pn_window`), and pn[n] raises
     ValueError once ||P_n|| leaves the double range (for N = 2, from n near
-    340).  A spec whose R^{-1} or product table T leaves the double range raises ValueError.
+    340).  A spec whose R^{-1}, product table T or pin scale leaves the double range raises ValueError.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -440,7 +450,7 @@ def _closed_alpha(spec, n_max):
     nu1, n = spec.nu[0], np.arange(n_max + 1)
     g = gamma_seq(spec, n_max + 2)
     if spec.kind == 1:
-        up, down = nu1 * np.sqrt((n + 1) / (2.0 * g[n + 1])), -nu1 * np.sqrt(n / (2.0 * g[n]))
+        up, down = nu1 * np.sqrt(0.5 * (n + 1) / g[n + 1]), -nu1 * np.sqrt(0.5 * n / g[n])  # 2 g may overflow
     else:
         up, down = 0.5 * nu1 * np.sqrt((n + 1) * (n + 2) / g[n + 2]), -0.5 * nu1 * np.sqrt(n * (n - 1) / g[n])
     return np.stack([1.0 / np.sqrt(g[n + spec.kind]), up, down, 1.0 / np.sqrt(g[n])], axis=1).reshape(-1, 2, 2)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import band_pattern
-from .families import FamilyContext, _windows
+from .families import FamilyContext, _behind
 from .hermite import wave_functions
 from .matpoly import MatrixGaussian, ladder
 from .structmat import _I_POW, phase_diag, trig_diag
@@ -79,7 +79,7 @@ def orthonormality_residual(ctx: FamilyContext):
     diagonal, and off it row r of n against the rows q < r of n - k(r - q), at the plan's `same` as in `_table`.
     """
     N, D = ctx.size, ctx.spec.kind * (ctx.size - 1)
-    known = _windows(np.concatenate([np.zeros((D, N, N)), ctx.alpha]), ctx.n_max + 1, (D + 1) * N * N)
+    known = _behind(ctx.alpha, ctx.n_max + 1, D)
     worst = np.abs(np.einsum("nra,nra->nr", ctx.alpha, ctx.alpha) - 1.0).max(axis=1)
     for r in range(1, N):
         pairs = np.einsum("nqa,na->nq", known[:, ctx.plan.same[r]], ctx.alpha[:, r])
@@ -194,43 +194,29 @@ def three_term_residual(ctx: FamilyContext):
 def real_integral_residual(ctx: FamilyContext, form="even", sign=+1):
     """One of the real integral equations for the polynomials P_n, for every n.
 
-    Family 1 has eight equations: form in {'even', 'odd'} times sign in {+1, -1}
-    times the parity of n.  The 'even' form pairs (e^{i pi J} +- I) with the
-    matching C_+- on both sides and the kernel k_n; the 'odd' form crosses the
-    multipliers and uses the kernel k_{n+1}.  Family 2 has a single equation
-    per parity (cos kernel for even n, sin for odd); form and sign are ignored.
+    Each reads left Phi-tilde_n(x) right = c_n / sqrt(2 pi) front K_n(x) back with diagonal multipliers; K_n is the
+    trapezoid sum of cos(x t) Phi-tilde_n(t) where n + [form == 'odd'] is even and of sin(x t) Phi-tilde_n(t) where it
+    is odd.  With e = e^{i pi J}, s = sign, C_+ = cos((pi/2)J) and C_- = sin((pi/2)J), the rows are
+        (left, right, front, back; c_n) = (e + s, C_s, C_s, e + s; (-1)^floor(n/2))   family 1, 'even',
+                                          (e + s, C_-s, C_s, e - s; s (-1)^ceil(n/2))  family 1, 'odd',
+                                          (e, I, I, e; (-1)^floor(n/2))                 family 2,
+    one equation per form, sign and parity of n for family 1 and per parity for family 2, which ignores form and
+    sign.  Every multiplier entry is in {0, +-1, +-2}, so the order of the products does not change a bit.
 
     Returns the report of the absolute residual on Phi-tilde_n at POINTWISE_GRID; both sides are real, as it is.
     """
-    N, n_max = ctx.size, ctx.n_max
+    N, n = ctx.size, np.arange(ctx.n_max + 1)
     if ctx.spec.kind == 1 and form not in ("even", "odd"):
         raise ValueError("form must be 'even' or 'odd'")
     cos, sin, phi_vals = _kernel_sums(ctx)  # phi_vals: e^{-x^2/2} P_n(x) R(x) over ||P_n||, row by row
-    n = np.arange(n_max + 1)
-    # every multiplier is diagonal: e^{i pi J} (+-1), C_+ = cos((pi/2)J) and C_- = sin((pi/2)J), as vectors
-    e, cp, cm = np.diag(phase_diag(N, 2)).real, np.diag(trig_diag(N, "cos")), np.diag(trig_diag(N, "sin"))
-
-    def kernel_sums(parity):  # cos where n + parity is even, sin where it is odd
-        return np.where(((n + parity) % 2 == 0)[:, None, None, None], cos, sin)
-
-    if ctx.spec.kind == 2:
-        coeff = (-1.0) ** (n // 2)
-        lhs = e[:, None] * phi_vals
-        rhs = (coeff / np.sqrt(2.0 * np.pi))[:, None, None, None] * kernel_sums(0) * e
-        variant = "real_int_kind2"
-    else:
-        s = 1.0 if sign > 0 else -1.0
-        if form == "even":
-            left, right = e + s, cp if s > 0 else cm
-            front, back = right, e + s
-            coeff, integ = (-1.0) ** (n // 2), kernel_sums(0)
-        else:
-            left, right = e + s, cm if s > 0 else cp
-            front, back = cp if s > 0 else cm, e - s
-            # ceil(n/2) here, not floor: verified against the derivation
-            coeff, integ = s * (-1.0) ** ((n + 1) // 2), kernel_sums(1)
-        lhs = left[:, None] * phi_vals * right
-        rhs = (coeff / np.sqrt(2.0 * np.pi))[:, None, None, None] * (front[:, None] * integ * back)
-        variant = f"real_int_kind1_{form}_{'+' if s > 0 else '-'}"
-    resid = np.abs(lhs - rhs).max(axis=(1, 2, 3))
-    return _report(ctx, variant, resid)  # absolute, as |Phi-tilde_n(x)| < 1
+    s = 1.0 if sign > 0 else -1.0
+    odd = ctx.spec.kind == 1 and form == "odd"  # K_n of parity n + 1, and the crossed row
+    e, C = np.diag(phase_diag(N, 2)).real, {1.0: np.diag(trig_diag(N, "cos")), -1.0: np.diag(trig_diag(N, "sin"))}
+    left, right, front, back = ((e, np.ones(N), np.ones(N), e) if ctx.spec.kind == 2
+                                else (e + s, C[-s if odd else s], C[s], e - s if odd else e + s))
+    coeff = (s if odd else 1.0) * (-1.0) ** ((n + odd) // 2)
+    kernel = np.where(((n + odd) % 2 == 0)[:, None, None, None], cos, sin)
+    lhs = left[:, None] * phi_vals * right
+    rhs = (coeff / np.sqrt(2.0 * np.pi))[:, None, None, None] * (front[:, None] * kernel * back)
+    variant = "real_int_kind2" if ctx.spec.kind == 2 else f"real_int_kind1_{form}_{'+' if s > 0 else '-'}"
+    return _report(ctx, variant, np.abs(lhs - rhs).max(axis=(1, 2, 3)))  # absolute, as |Phi-tilde_n(x)| < 1

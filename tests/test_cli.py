@@ -1,11 +1,14 @@
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matschroed.cli import (
     load_mg,
@@ -90,6 +93,60 @@ def test_check_rejects_a_product_table_past_the_double_range():
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == "error: kind 1, N=3, nu=(1e+154, 1e+154), the product table T = band R^{-1} leaves the " \
                          "double range\n"
+
+
+def run_check(*args):
+    """`matschroed check` in a child with RuntimeWarnings as errors and a timeout, so that a hang fails, not waits."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "matschroed.cli", "check", *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
+def assert_exit_rule(out):
+    """Exit 0, 1 or 2, never a traceback, and one `error:` line on exit 2."""
+    assert out.returncode in (0, 1, 2) and "Traceback" not in out.stderr, out.stderr
+    if out.returncode == 2:
+        assert [line.split(":")[0] for line in out.stderr.splitlines()] == ["error"], out.stderr
+
+
+@pytest.mark.parametrize(
+    "args, printed, error",
+    [
+        # the Frobenius norm of the pinned rows squares 1e160 to inf, and an SVD of inf does not return
+        ("--kind 1 --N 3 --nu 1,1e160 --nmax 4", 0, "the pinned degree condition of row 1 leaves the double range"),
+        ("--kind 2 --N 3 --nu 1,1e160 --nmax 4", 0, "the pinned degree condition of row 1 leaves the double range"),
+        ("--kind 1 --N 4 --nu 1,1,1e200 --nmax 4", 0, "the pinned degree condition of row 1 leaves the double range"),
+        # a ConsistencyError: the spec is outside the range the build can solve
+        ("--kind 1 --N 3 --nu 1e50,1e50 --nmax 8", 0, "n=0, row 0: degree condition leaves a 2-dimensional"),
+        # the family builds, and its lines up to real_integral print; gamma_n = 1 + n nu^2 / 2 does not fit a double
+        ("--kind 1 --N 2 --nu 1e155 --nmax 4", 4, "gamma_n leaves the double range"),
+    ],
+    ids=["pin-kind1", "pin-kind2", "pin-N4", "consistency", "gamma"],
+)
+def test_check_exits_2_with_one_error_line(args, printed, error):
+    out = run_check(*args.split())
+    assert_exit_rule(out)
+    assert out.returncode == 2 and error in out.stderr, out.stderr
+    assert len(out.stdout.splitlines()) == printed
+
+
+def nu_entries():
+    """Signed, of magnitude log-uniform in 1e-300..1e300, or normal(0, 3), with equal odds."""
+    log_uniform = st.builds(lambda e, s: s * 10.0**e, st.floats(-300.0, 300.0), st.sampled_from((-1.0, 1.0)))
+    return st.one_of(log_uniform, st.floats(1e-9, 1.0 - 1e-9).map(statistics.NormalDist(0.0, 3.0).inv_cdf))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("1", "2")), st.lists(nu_entries(), max_size=7), st.integers(0, 30))
+def test_check_exits_0_1_or_2_on_any_spec(kind, nu, n_max):
+    # ROADMAP item 10's spec distribution; with hypothesis 6.155, 3 of the 15 derandomized examples exit 2
+    args = ["--kind", kind, "--N", str(len(nu) + 1), "--nmax", str(n_max)]
+    assert_exit_rule(run_check(*args, *([f"--nu={','.join(map(repr, nu))}"] if nu else [])))
 
 
 def test_check_loads_no_numpy_random_and_is_seeded():

@@ -90,6 +90,26 @@ def test_gamma_seq_values():
         gamma_seq(FamilySpec(1, 3, [1.0, 1.0]), 2)
 
 
+@pytest.mark.parametrize("kind, nu1", [(1, 1e155), (1, -7e153), (2, 1e154)])
+def test_gamma_seq_past_the_double_range_names_the_spec(kind, nu1):
+    # nu1^2 or n nu1^2 / 2 leaves the double range: a ValueError, from the closed form too, never an OverflowError
+    spec = FamilySpec(kind, 2, [nu1])
+    message = f"kind {kind}, N=2, nu={spec.nu}, gamma_n leaves the double range"
+    for make in (gamma_seq, closed_form_N2):
+        with pytest.raises(ValueError) as info:
+            make(spec, 8)
+        assert str(info.value) == message
+
+
+def test_closed_form_where_two_gamma_n_leaves_the_double_range():
+    # gamma_5 = 9e307 fits a double and 2 gamma_5 does not; the off-diagonal entries are 1 and -1 to rounding
+    spec = FamilySpec(1, 2, [6e153])
+    table = families._closed_alpha(spec, 4)
+    assert np.isfinite(table).all()
+    np.testing.assert_allclose(table[:, 0, 1], 1.0, rtol=1e-15)
+    np.testing.assert_allclose(table[1:, 1, 0], -1.0, rtol=1e-15)
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 def test_weight_properties(spec):
     np.testing.assert_allclose(weight_eval(spec, 0.0), np.eye(spec.size), atol=1e-15)
