@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from .expansion import CoefficientExpansion, band_pattern, expand, reconstruct
-from .families import ConsistencyError, FamilySpec, _closed_alpha, build_family, gamma_seq
+from .families import ConsistencyError, FamilySpec, _at_support, _closed_alpha, build_family, gamma_seq
+from .hermite import wave_functions
 from .matpoly import MatrixGaussian
 from .operators import (
     POINTWISE_GRID,
@@ -112,7 +113,11 @@ def parse_grid(text):
     lo, hi, step = (float(v) for v in parts)
     if step <= 0 or hi <= lo:
         raise ValueError("grid needs hi > lo and step > 0")
-    return np.arange(lo, hi + step / 2, step)
+    try:
+        return np.arange(lo, hi + step / 2, step)
+    except MemoryError:
+        count = math.ceil((hi + step / 2 - lo) / step)
+        raise ValueError(f"grid {text} has {count} points, too many to allocate") from None
 
 
 # -- check suite -------------------------------------------------------------
@@ -130,7 +135,8 @@ def check_lines(ctx, tol, seed):
 
     Each compares the family with an independent computation (the Gram of alpha, trapezoid transforms, point
     values, the N = 2 closed form as a table of alpha or a seeded round trip); schrodinger, fourier_eigen and
-    real_integral check the psi placement only (ROADMAP item 4), as each psi_m solves them whatever alpha holds.
+    real_integral check the psi placement only (ROADMAP item 4), as each psi_m solves them whatever alpha holds:
+    the last two read alpha times one trapezoid gap per psi_m, and real_integral <= 2 fourier_eigen at every n.
     Every line reads alpha or Phi-tilde_n, so pointwise residuals are absolute, as |Phi-tilde_n(x)| < 1.
     """
     spec, n_max, N = ctx.spec, ctx.n_max, ctx.size
@@ -181,10 +187,11 @@ def cmd_density(args):
         raise ValueError(f"entry indices must be in 1..{spec.size}")
     xs = parse_grid(args.grid)
     ctx = build_family(spec, args.nmax)
-    rows = (f(xs)[:, [i - 1, j - 1]] for f in ctx.phi_tilde)  # rows i, j of one Phi-tilde_n at a time, real
-    density = [sum(v[:, 0, b] * v[:, 1, b] for b in range(spec.size)) for v in rows]  # b in order: fixed digits
+    psi = wave_functions(args.nmax + spec.kind * (spec.size - 1), xs).T  # point, psi index
+    v = _at_support(ctx, psi, [i - 1, j - 1])  # rows i, j of every Phi-tilde_n: point, n, row, b; real
+    density = sum(v[:, :, 0, b] * v[:, :, 1, b] for b in range(spec.size))  # b in order: fixed digits
     header = "x," + ",".join(f"n{n}" for n in range(args.nmax + 1))
-    table = np.column_stack([xs, *density])
+    table = np.column_stack([xs, density])
     np.savetxt(args.out or sys.stdout, table, fmt="%.17g", delimiter=",", header=header, comments="")
     return 0
 

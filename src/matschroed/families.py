@@ -390,6 +390,11 @@ def _finite(values, spec, name):
     return values
 
 
+def _at_support(ctx, table, rows=slice(None)):
+    """Every Phi-tilde_n read from a per-psi_m table, psi index last: table[..., m] alpha[n, r, a] for r in `rows`."""
+    return table[..., np.maximum(ctx.plan.support[:, rows], 0)] * ctx.alpha[:, rows]  # alpha is 0 where m < 0
+
+
 def _function(alpha, spec, n):
     """Phi-tilde_n: alpha[n] placed at its psi indices m."""
     N, k = spec.size, spec.kind

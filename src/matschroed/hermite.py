@@ -8,11 +8,12 @@ rule integrates against the weight e^{-x^2} on R; it needs numpy only, is
 computed once per order and is shared read-only.
 
 `wave_table` keeps the last psi table it built, keyed on the points' values
-and the envelope flag, so evaluating many functions on one grid runs the
-recurrence once: a lower degree reads a row slice of the kept table, a
-higher one continues the recurrence from its last two rows.  The values are
-bit-identical to `wave_functions`.  Tables above TABLE_CACHE_BYTES (1 MiB) are
-returned but not kept.
+and the envelope flag, so evaluating many functions of the same or lower
+degree on one grid runs the recurrence once: each reads a row slice of the
+kept table.  A higher degree builds a new table from psi_0, of twice that
+degree while such a table is kept.  The values are bit-identical to
+`wave_functions`.  Tables above TABLE_CACHE_BYTES (1 MiB) are returned but not
+kept.
 """
 
 from dataclasses import dataclass
@@ -39,18 +40,15 @@ def wave_functions(n, x, envelope=True):
     """
     if n < 0:
         raise ValueError("index must be >= 0")
+    if envelope:  # e^{-x^2/2}, so every row, is 0 from |x| = 38.6 on; clipped, x x stays finite
+        x = np.clip(x, -1e154, 1e154)
     out = np.empty((n + 1, x.size))
     out[0] = np.pi ** -0.25 * (np.exp(-x * x / 2.0) if envelope else 1.0)
-    _recur(out, x, 1)
-    return out
-
-
-def _recur(out, x, start):
-    """Fill rows start.. of out (start >= 1) from the two rows below each, by the recurrence of `wave_functions`."""
-    for k in range(start - 1, out.shape[0] - 1):
+    for k in range(n):
         out[k + 1] = x * np.sqrt(2.0 / (k + 1)) * out[k]
         if k:
             out[k + 1] -= np.sqrt(k / (k + 1.0)) * out[k - 1]
+    return out
 
 
 # Largest psi table, in bytes, that `wave_table` keeps (the 801-point, degree-28
@@ -69,21 +67,17 @@ def wave_table(n, x, envelope=True):
     if n < 0:
         raise ValueError("index must be >= 0")
     kept = _kept
-    if kept is not None and kept[1] == envelope and np.array_equal(kept[0], x):
-        points, table = kept[0], kept[2]
-        if n < table.shape[0]:
-            return table[: n + 1]
-        out = np.empty((n + 1, x.size))
-        out[: table.shape[0]] = table
-        _recur(out, points, table.shape[0])
-    else:
-        points = x.copy()
-        points.flags.writeable = False
-        out = wave_functions(n, points, envelope)
+    same = kept is not None and kept[1] == envelope and np.array_equal(kept[0], x)
+    if same and n < kept[2].shape[0]:
+        return kept[2][: n + 1]
+    points = x.copy()
+    points.flags.writeable = False
+    # past the kept degree on the same points, twice it while kept: n rising one by one makes O(log n) tables
+    out = wave_functions(2 * n if same and (2 * n + 1) * x.nbytes <= TABLE_CACHE_BYTES else n, points, envelope)
     out.flags.writeable = False
     if out.nbytes <= TABLE_CACHE_BYTES:
         _kept = (points, envelope, out)
-    return out
+    return out[: n + 1]
 
 
 def wave_function(n, x):

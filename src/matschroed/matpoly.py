@@ -209,11 +209,16 @@ class MatrixGaussian:
         return float(np.max(np.abs(self.coeffs)))
 
     def fourier(self, direction=1):
-        """Unitary Fourier transform f -> (1/sqrt(2pi)) int f(t) e^{+-ixt} dt.
+        """Unitary Fourier transform f -> (1/sqrt(2pi)) int f(t) e^{+-ixt} dt: `transform_apply(f, 0, direction)`.
 
         Exact on this class: psi_m is an eigenfunction with eigenvalue (+-i)^m.
         """
-        if direction not in (1, -1):
-            raise ValueError("direction must be +1 or -1")
-        phases = _I_POW[(direction * np.arange(self.degree + 1)) % 4]
-        return MatrixGaussian(phases[:, None, None] * self.coeffs)
+        return transform_apply(self, 0, direction)
+
+
+def transform_apply(f: MatrixGaussian, k, direction=1):
+    """The Fourier-type transform F_k (or its inverse), exactly: coefficient (m, a, b) times i^{direction(m + kJ_b)}."""
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    power = direction * (np.arange(f.degree + 1)[:, None] + k * np.arange(f.size - 1, -1, -1))
+    return MatrixGaussian(f.coeffs * _I_POW[power % 4][:, None, :])

@@ -17,8 +17,8 @@ three-term relation of multiplication by x against the band matrix of
 psi-degree, n_max + D, so the sums of every psi_m are one product of the cos
 and sin kernels with the psi table at those nodes.  Entry (r, a) of
 Phi-tilde_n is alpha[n, r, a] psi_m, m = n + k(a - r) (the plan's `support`),
-so the sums and values of every entry are those of psi_m read at `support`
-times alpha.
+so its value and its gap in the Fourier and real integral equations are alpha
+times those of psi_m, read at `support` by `families._at_support`.
 """
 
 import weakref
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import band_pattern
-from .families import FamilyContext, _behind
+from .families import FamilyContext, _at_support, _behind
 from .hermite import wave_functions
-from .matpoly import MatrixGaussian, ladder
+from .matpoly import MatrixGaussian, ladder, transform_apply  # noqa: F401 (re-exported)
 from .structmat import _I_POW, phase_diag, trig_diag
 
 POINTWISE_GRID = np.array([-3.0, -1.5, 0.0, 0.8, 2.2])
@@ -106,14 +106,6 @@ def schrodinger_residual(ctx: FamilyContext):
     return _report(ctx, f"schrodinger_kind{ctx.spec.kind}", relative)
 
 
-def transform_apply(f: MatrixGaussian, k, direction=1):
-    """The Fourier-type transform F_k (or its inverse), exactly: coefficient (m, a, b) times i^{direction(m + kJ_b)}."""
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    power = direction * (np.arange(f.degree + 1)[:, None] + k * np.arange(f.size - 1, -1, -1))
-    return MatrixGaussian(f.coeffs * _I_POW[power % 4][:, None, :])
-
-
 def _trapezoid_nodes(degree):
     """Uniform nodes step * (-m..m) for psi-degree d: the turning point sqrt(2d+1) plus 10 units of decay."""
     m = int(np.ceil((np.sqrt(2 * degree + 1) + 10.0) / TRAPEZOID_STEP))
@@ -138,16 +130,16 @@ _kept = None  # (weak reference to ctx, TRAPEZOID_STEP, `_kernel_sums` of ctx)
 
 
 def _kernel_sums(ctx):
-    """Trapezoid sums and values of every Phi-tilde_n at POINTWISE_GRID; the last ones are kept.
+    """The Fourier gap and the values of every Phi-tilde_n at POINTWISE_GRID; the last ones are kept.
 
-    Returns (cos, sin, values), each of shape (n, len(POINTWISE_GRID), N, N):
-    step times the sum over the nodes t of cos(x t) Phi-tilde_n(t) and of
-    sin(x t) Phi-tilde_n(t), and Phi-tilde_n(x).  Every n takes the nodes
+    Returns (gap, values), each of shape (n, len(POINTWISE_GRID), N, N): entry
+    (r, a) is alpha[n, r, a] times E_m(x) = (C_m + i S_m) / sqrt(2 pi) - i^m
+    psi_m(x) and psi_m(x), with C_m and S_m step times the sums over the nodes t
+    of cos(x t) psi_m(t) and sin(x t) psi_m(t).  Every n takes the nodes
     `_trapezoid_nodes` gives the highest psi-degree, n_max + D: past the range
-    of a lower degree its terms are below rounding.  The cos and sin rows
-    times the psi table at the nodes are one real product; under them go
-    psi_m(x).  These rows, one per psi_m, are read in one gather at
-    `plan.support` and multiplied by alpha.
+    of a lower degree its terms are below rounding.  The cos and sin rows times
+    the psi table at the nodes are one real product; the per-psi_m tables are
+    read by `families._at_support`.
     """
     global _kept
     kept = _kept
@@ -156,10 +148,10 @@ def _kernel_sums(ctx):
     top = ctx.n_max + ctx.spec.kind * (ctx.size - 1)
     t = _trapezoid_nodes(top)
     arg = np.multiply.outer(POINTWISE_GRID, t)
-    sums = TRAPEZOID_STEP * np.concatenate([np.cos(arg), np.sin(arg)]) @ wave_functions(top, t).T
-    rows = np.concatenate([sums, wave_functions(top, POINTWISE_GRID).T])  # (cos, sin, psi) x point, psi index
-    # (cos, sin, psi) x point, n, r, a: psi_m times alpha, which is 0 where m < 0 (read at psi_0)
-    data = np.split(np.moveaxis(rows[:, np.maximum(ctx.plan.support, 0)] * ctx.alpha, 0, 1), 3, axis=1)
+    cos, sin = np.split(TRAPEZOID_STEP * np.concatenate([np.cos(arg), np.sin(arg)]) @ wave_functions(top, t).T, 2)
+    psi = wave_functions(top, POINTWISE_GRID).T  # point, psi index
+    gap = (cos + 1j * sin) / np.sqrt(2.0 * np.pi) - _I_POW[np.arange(top + 1) % 4] * psi
+    data = tuple(np.moveaxis(_at_support(ctx, table), 0, 1) for table in (gap, psi))  # n, point, r, a
     _kept = (weakref.ref(ctx), TRAPEZOID_STEP, data)
     return data
 
@@ -167,15 +159,11 @@ def _kernel_sums(ctx):
 def fourier_eigen_residual(ctx: FamilyContext):
     """Residual of (Phi_n F_k)(x) = i^n i^{kJ} Phi_n(x), with k = kind, on Phi-tilde_n, F_k by the trapezoidal rule.
 
-    F_k Phi-tilde_n is `quadrature_transform`'s at POINTWISE_GRID, on the
-    nodes of degree n_max + D: relative[n] is the largest gap there.
+    F_k Phi-tilde_n is `quadrature_transform`'s at POINTWISE_GRID, on the nodes of degree n_max + D.  As i^n i^{kJ_r}
+    = i^m i^{kJ_a}, entry (r, a) is off by i^{kJ_a} times its gap of `_kernel_sums`: relative[n] is the largest |gap|.
     """
-    (cos, sin, values), k = _kernel_sums(ctx), ctx.spec.kind
-    phase = np.diag(phase_diag(ctx.size, k))
-    quad = (cos + 1j * sin) / np.sqrt(2.0 * np.pi) * phase  # column a times i^{kJ_a}
-    eigen = _I_POW[np.arange(ctx.n_max + 1) % 4][:, None] * phase  # i^n i^{kJ_r} of row r
-    gap = np.abs(quad - eigen[:, None, :, None] * values).max(axis=(1, 2, 3))
-    return _report(ctx, f"fourier_eigen_k{k}", gap)  # absolute: |psi_m| <= pi^{-1/4} and |alpha| <= 1
+    gap = np.abs(_kernel_sums(ctx)[0]).max(axis=(1, 2, 3))
+    return _report(ctx, f"fourier_eigen_k{ctx.spec.kind}", gap)  # absolute: |psi_m| <= pi^{-1/4} and |alpha| <= 1
 
 
 def three_term_residual(ctx: FamilyContext):
@@ -184,7 +172,7 @@ def three_term_residual(ctx: FamilyContext):
     The blocks are the band of `band_pattern(ctx, 1)`; relative[n] is the largest residual at the points, for
     n < n_max only, as Phi-tilde_{n_max+1} is not built.
     """
-    n_max, values = ctx.n_max, _kernel_sums(ctx)[2]
+    n_max, values = ctx.n_max, _kernel_sums(ctx)[1]
     band = band_pattern(ctx, 1).band[:n_max]  # (n, d + 1, r, s), 0 where n + d < 0
     rhs = np.einsum("ndrs,ndxsa->nxra", band, values[ctx.plan.near[0][:n_max]])
     resid = np.abs(POINTWISE_GRID[:, None, None] * values[:n_max] - rhs).max(axis=(1, 2, 3))
@@ -201,22 +189,21 @@ def real_integral_residual(ctx: FamilyContext, form="even", sign=+1):
                                           (e + s, C_-s, C_s, e - s; s (-1)^ceil(n/2))  family 1, 'odd',
                                           (e, I, I, e; (-1)^floor(n/2))                 family 2,
     one equation per form, sign and parity of n for family 1 and per parity for family 2, which ignores form and
-    sign.  Every multiplier entry is in {0, +-1, +-2}, so the order of the products does not change a bit.
+    sign.  Entry by entry left right = c_n front back Re(i^m) for cos and Im(i^m) for sin, so lhs - rhs = -c_n front G
+    back, G the real (cos) or imaginary (sin) part of the gap of `_kernel_sums`.  As |Re z|, |Im z| <= |z|, |front|
+    <= 1 and |back| <= 2, each variant reads at most twice `fourier_eigen_residual`, at every n and for any sums.
 
     Returns the report of the absolute residual on Phi-tilde_n at POINTWISE_GRID; both sides are real, as it is.
     """
     N, n = ctx.size, np.arange(ctx.n_max + 1)
     if ctx.spec.kind == 1 and form not in ("even", "odd"):
         raise ValueError("form must be 'even' or 'odd'")
-    cos, sin, phi_vals = _kernel_sums(ctx)  # phi_vals: e^{-x^2/2} P_n(x) R(x) over ||P_n||, row by row
+    gap = _kernel_sums(ctx)[0]
     s = 1.0 if sign > 0 else -1.0
-    odd = ctx.spec.kind == 1 and form == "odd"  # K_n of parity n + 1, and the crossed row
-    e, C = np.diag(phase_diag(N, 2)).real, {1.0: np.diag(trig_diag(N, "cos")), -1.0: np.diag(trig_diag(N, "sin"))}
-    left, right, front, back = ((e, np.ones(N), np.ones(N), e) if ctx.spec.kind == 2
-                                else (e + s, C[-s if odd else s], C[s], e - s if odd else e + s))
-    coeff = (s if odd else 1.0) * (-1.0) ** ((n + odd) // 2)
-    kernel = np.where(((n + odd) % 2 == 0)[:, None, None, None], cos, sin)
-    lhs = left[:, None] * phi_vals * right
-    rhs = (coeff / np.sqrt(2.0 * np.pi))[:, None, None, None] * (front[:, None] * kernel * back)
+    odd = ctx.spec.kind == 1 and form == "odd"  # K_n of parity n + 1, and back e - s
+    e = np.diag(phase_diag(N, 2)).real
+    front, back = ((np.ones(N), e) if ctx.spec.kind == 2
+                   else (np.diag(trig_diag(N, "cos" if s > 0 else "sin")), e - s if odd else e + s))
+    G = np.where(((n + odd) % 2 == 0)[:, None, None, None], gap.real, gap.imag)
     variant = "real_int_kind2" if ctx.spec.kind == 2 else f"real_int_kind1_{form}_{'+' if s > 0 else '-'}"
-    return _report(ctx, variant, np.abs(lhs - rhs).max(axis=(1, 2, 3)))  # absolute, as |Phi-tilde_n(x)| < 1
+    return _report(ctx, variant, np.abs(front[:, None] * G * back).max(axis=(1, 2, 3)))

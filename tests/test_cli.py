@@ -149,6 +149,16 @@ def test_check_exits_0_1_or_2_on_any_spec(kind, nu, n_max):
     assert_exit_rule(run_check(*args, *([f"--nu={','.join(map(repr, nu))}"] if nu else [])))
 
 
+def test_check_does_not_pass_a_build_that_is_not_orthonormal(capsys):
+    # rows barely determined (null_margin 1.4e-13): the build returns alpha with an orthonormality residual of 1.4e-6
+    # from n = 8 and raises nothing, so check must fail it; exit 2 holds too, should the build raise instead
+    nu = "3.234536205490036,-3.0548702620057124,9.637602694251615e-224,4.179121811283366,1846111315.1730225"
+    code = main(["check", "--kind", "2", "--N", "6", f"--nu={nu}", "--nmax", "21"])
+    assert code in (1, 2)
+    if code == 1:
+        assert "FAIL  orthonormality" in capsys.readouterr().out
+
+
 def test_check_loads_no_numpy_random_and_is_seeded():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
@@ -250,6 +260,9 @@ def test_usage_errors(capsys):
         assert main(["matrix-elements", "--kind", "1", "--N", "2", "--nu", "1.0", f"--tol={tol}"]) == 2
         err = capsys.readouterr().err
         assert err.count("--tol must be a positive finite number") == 2, err
+    # 1e12 points: numpy cannot allocate them, and exit 1 would claim a failing check
+    assert main(["density", "--kind", "1", "--N", "2", "--nu", "1", "--grid=0:1e9:1e-3"]) == 2
+    assert capsys.readouterr().err == "error: grid 0:1e9:1e-3 has 1000000000001 points, too many to allocate\n"
 
 
 def test_density_csv(tmp_path):

@@ -13,6 +13,7 @@ from matschroed import families
 from matschroed.families import (
     ConsistencyError,
     FamilySpec,
+    _at_support,
     build_family,
     closed_form_N2,
     gamma_seq,
@@ -20,6 +21,7 @@ from matschroed.families import (
     weight_eval,
 )
 from matschroed.expansion import inner_product, inner_product_weighted
+from matschroed.hermite import TABLE_CACHE_BYTES, wave_functions
 from matschroed.matpoly import poly_times
 from matschroed.structmat import build_structured, nilpotent_series
 
@@ -529,3 +531,20 @@ def test_build_family_scalar_reduces_to_hermite():
         np.testing.assert_allclose(
             ctx.pn[n].poly_at(xs)[:, 0, 0], np.polyval(hermite_phys(n)[::-1], xs) / 2.0 ** n, atol=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "kind, N, n_max, points",
+    [(kind, N, 30, 101) for kind in (1, 2) for N in (1, 2, 5, 8)] + [(1, 2, 200, 700), (2, 5, 60, 2000)],
+)
+def test_values_at_support_equal_phi_tilde_bit_for_bit(kind, N, n_max, points):
+    # one gather of the psi table at plan.support times alpha against one MatrixGaussian call per n; the last two
+    # tables are above the 1 MiB cap of `wave_table`, so each of those calls makes its own
+    ctx = build_family(FamilySpec(kind, N, np.resize([0.8, -1.3, 0.6, 1.1], N - 1)), n_max)
+    x = np.linspace(-12.0, 12.0, points)
+    psi = wave_functions(n_max + kind * (N - 1), x)
+    assert (points < 700) != (psi.nbytes > TABLE_CACHE_BYTES)
+    values = _at_support(ctx, psi.T)  # point, n, r, a
+    np.testing.assert_array_equal(values, np.stack([f(x) for f in ctx.phi_tilde], axis=1))
+    rows = _at_support(ctx, psi.T, [N - 1, 0])
+    np.testing.assert_array_equal(rows, values[:, :, [N - 1, 0]])

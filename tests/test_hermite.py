@@ -1,11 +1,14 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from hermite_reference import hermite_phys, wave_poly
+from matschroed import hermite
+from matschroed.families import FamilySpec, build_family
 from matschroed.hermite import TABLE_CACHE_BYTES, gauss_hermite, wave_function, wave_functions, wave_table
 
 
@@ -149,15 +152,27 @@ def test_wave_table_reuse_is_bit_identical(envelope):
     hit = wave_table(7, x, envelope)  # a row slice of the kept table
     assert np.shares_memory(hit, built)
     assert np.array_equal(hit, wave_functions(7, x, envelope))
-    extended = wave_table(30, x, envelope)  # continues the recurrence from rows 11 and 12
-    assert np.array_equal(extended, wave_functions(30, x, envelope))
+    higher = wave_table(30, x, envelope)  # a higher degree: a new table, kept in place of the first
+    assert np.array_equal(higher, wave_functions(30, x, envelope))
     assert np.array_equal(wave_table(30, y, envelope), wave_functions(30, y, envelope))
     assert np.array_equal(wave_table(5, x, envelope), wave_functions(5, x, envelope))
     # the other flag on the same points is another table
     assert np.array_equal(wave_table(5, x, not envelope), wave_functions(5, x, not envelope))
-    # extension from a kept table of one row
+    # a higher degree than a kept table of one row
     wave_table(0, y, envelope)
     assert np.array_equal(wave_table(3, y, envelope), wave_functions(3, y, envelope))
+
+
+@pytest.mark.parametrize("x", [1e200, -1e200, 1e300, -1e300, np.finfo(float).max, -np.finfo(float).max])
+def test_wave_functions_read_0_at_huge_points_without_warning(x):
+    # e^{-x^2/2} underflows to 0 from |x| = 38.6 on, and with it every psi_m; x x must not overflow on the way
+    points = np.array([0.5, x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = wave_functions(40, points)
+        values = build_family(FamilySpec(1, 3, [0.8, -1.3]), 5).phi_tilde[3](points)
+    assert np.all(table[:, 1] == 0.0) and np.array_equal(table[:, :1], wave_functions(40, points[:1]))
+    assert np.all(values[1] == 0.0) and np.all(np.isfinite(values))
 
 
 def test_wave_table_follows_points_changed_in_place():
@@ -171,7 +186,7 @@ def test_wave_table_follows_points_changed_in_place():
 
 def test_wave_table_is_read_only():
     x = np.linspace(-2, 2, 9)
-    for n in (4, 2, 8):  # built, hit, extended
+    for n in (4, 2, 8):  # built, hit, built again at a higher degree
         table = wave_table(n, x)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -217,3 +232,25 @@ def test_wave_table_is_consistent_across_threads():
     assert not any(th.is_alive() for th in threads)
     assert sorted(done) == list(range(len(grids)))
     assert not wrong
+
+
+def test_wave_table_builds_few_tables_for_rising_degrees(monkeypatch):
+    # a family read n by n on one grid asks for degrees D, D+1, ...: each table past the kept degree is built at twice
+    # the degree while it stays under the cap, so 41 rising degrees take 6 tables here, each row as `wave_functions`
+    x = np.linspace(-7, 7, 64)
+    calls = []
+
+    def counted(n, x, envelope):
+        calls.append(n)
+        return wave_functions(n, x, envelope)
+
+    monkeypatch.setattr(hermite, "wave_functions", counted)
+    monkeypatch.setattr(hermite, "_kept", None)
+    for n in range(41):
+        assert np.array_equal(wave_table(n, x), wave_functions(n, x))
+    assert calls == [0, 2, 6, 14, 30, 62]
+    # near the cap a higher degree takes just that degree, as twice it would not be kept
+    y = np.linspace(-7, 7, TABLE_CACHE_BYTES // (8 * 100))
+    wave_table(60, y)
+    calls.clear()
+    assert wave_table(70, y).shape == (71, y.size) and calls == [70]

@@ -334,3 +334,21 @@ def test_residuals_of_a_non_finite_alpha_name_the_index(variant):
     message = rf"^kind 1, N=3, nu=\(0.8, -1.3\), n={n}: the {re.escape(variant)} residual is not finite$"
     with pytest.raises(ValueError, match=message):
         RESIDUALS[variant](bad)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_real_integral_is_at_most_twice_fourier_eigen(monkeypatch, kind, N, noise):
+    # both lines read the one gap of `_kernel_sums`: real_integral |front Re/Im(gap) back| with |front| <= 1 and
+    # |back| <= 2, fourier_eigen |gap|; so per n the relation holds for any gap, here with complex noise added to it
+    ctx = build_family(FamilySpec(kind, N, np.resize([0.8, -1.3, 0.6, 1.1], N - 1)), 30)
+    gap, values = operators._kernel_sums(ctx)
+    rng = np.random.default_rng([kind, N])
+    noisy = gap + noise * (rng.standard_normal(gap.shape) + 1j * rng.standard_normal(gap.shape))
+    monkeypatch.setattr(operators, "_kernel_sums", lambda c: (noisy, values))
+    fourier = fourier_eigen_residual(ctx).relative
+    assert noise == 0.0 or fourier.min() > noise / 10
+    for form, sign in [("even", 1), ("even", -1), ("odd", 1), ("odd", -1)] if kind == 1 else [("even", 1)]:
+        real = real_integral_residual(ctx, form, sign).relative
+        assert np.all(real <= 2.0 * fourier), (form, sign, np.max(real / fourier))
