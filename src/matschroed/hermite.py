@@ -10,10 +10,10 @@ computed once per order and is shared read-only.
 `wave_table` keeps the last psi table it built, keyed on the points' values
 and the envelope flag, so evaluating many functions of the same or lower
 degree on one grid runs the recurrence once: each reads a row slice of the
-kept table.  A higher degree builds a new table from psi_0, of twice that
-degree while such a table is kept.  The values are bit-identical to
-`wave_functions`.  Tables above TABLE_CACHE_BYTES (1 MiB) are returned but not
-kept.
+kept table.  A higher degree builds a new table from psi_0 whose rows are
+rounded up to a power of two while it is kept, so its size never depends on
+earlier reads.  The values are bit-identical to `wave_functions`.  Tables
+above TABLE_CACHE_BYTES (1 MiB) are returned but not kept.
 """
 
 from dataclasses import dataclass
@@ -67,13 +67,13 @@ def wave_table(n, x, envelope=True):
     if n < 0:
         raise ValueError("index must be >= 0")
     kept = _kept
-    same = kept is not None and kept[1] == envelope and np.array_equal(kept[0], x)
-    if same and n < kept[2].shape[0]:
+    if kept is not None and kept[1] == envelope and np.array_equal(kept[0], x) and n < kept[2].shape[0]:
         return kept[2][: n + 1]
     points = x.copy()
     points.flags.writeable = False
-    # past the kept degree on the same points, twice it while kept: n rising one by one makes O(log n) tables
-    out = wave_functions(2 * n if same and (2 * n + 1) * x.nbytes <= TABLE_CACHE_BYTES else n, points, envelope)
+    # rows rounded up to a power of two while kept: n rising one by one makes O(log n) tables
+    rows = 1 << int(n).bit_length()
+    out = wave_functions(rows - 1 if rows * x.nbytes <= TABLE_CACHE_BYTES else n, points, envelope)
     out.flags.writeable = False
     if out.nbytes <= TABLE_CACHE_BYTES:
         _kept = (points, envelope, out)

@@ -235,8 +235,8 @@ def test_wave_table_is_consistent_across_threads():
 
 
 def test_wave_table_builds_few_tables_for_rising_degrees(monkeypatch):
-    # a family read n by n on one grid asks for degrees D, D+1, ...: each table past the kept degree is built at twice
-    # the degree while it stays under the cap, so 41 rising degrees take 6 tables here, each row as `wave_functions`
+    # a family read n by n on one grid asks for degrees D, D+1, ...: each table past the kept degree has its rows
+    # rounded up to a power of two while it stays under the cap, so 41 rising degrees take 7 tables here
     x = np.linspace(-7, 7, 64)
     calls = []
 
@@ -248,8 +248,13 @@ def test_wave_table_builds_few_tables_for_rising_degrees(monkeypatch):
     monkeypatch.setattr(hermite, "_kept", None)
     for n in range(41):
         assert np.array_equal(wave_table(n, x), wave_functions(n, x))
-    assert calls == [0, 2, 6, 14, 30, 62]
-    # near the cap a higher degree takes just that degree, as twice it would not be kept
+    assert calls == [0, 1, 3, 7, 15, 31, 63]
+    # the table depends on the degree alone, not on the order of the reads: 28 after 24 is a slice, as 24 after 28
+    for first, second in ((24, 28), (28, 24)):
+        monkeypatch.setattr(hermite, "_kept", None)
+        calls.clear()
+        assert np.shares_memory(wave_table(first, x), wave_table(second, x)) and calls == [31]
+    # near the cap a higher degree takes just that degree, as the rounded-up table would not be kept
     y = np.linspace(-7, 7, TABLE_CACHE_BYTES // (8 * 100))
     wave_table(60, y)
     calls.clear()
