@@ -111,12 +111,15 @@ def parse_grid(text):
     if len(parts) != 3:
         raise ValueError("grid must be lo:hi:step")
     lo, hi, step = (float(v) for v in parts)
+    if not all(map(math.isfinite, (lo, hi, step, hi + step, hi - lo + step))):  # numpy sizes the grid from these
+        raise ValueError(f"grid {text} needs a finite lo, hi and step, with hi + step and hi - lo + step finite")
     if step <= 0 or hi <= lo:
         raise ValueError("grid needs hi > lo and step > 0")
     try:
         return np.arange(lo, hi + step / 2, step)
-    except MemoryError:
-        count = math.ceil((hi + step / 2 - lo) / step)
+    except (MemoryError, ValueError):  # ValueError: numpy's "Maximum allowed size exceeded"
+        count = (hi + step / 2 - lo) / step  # finite terms, but the quotient may be inf
+        count = math.ceil(count) if count < 1e18 else "more than 10^18"
         raise ValueError(f"grid {text} has {count} points, too many to allocate") from None
 
 

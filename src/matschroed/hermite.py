@@ -7,15 +7,18 @@ basis and never forms monomial coefficients of H_n or psi_n.  The quadrature
 rule integrates against the weight e^{-x^2} on R; it needs numpy only, is
 computed once per order and is shared read-only.
 
-`wave_table` keeps the last psi table it built, keyed on the points' values
-and the envelope flag, so evaluating many functions of the same or lower
-degree on one grid runs the recurrence once: each reads a row slice of the
-kept table.  A higher degree builds a new table from psi_0 whose rows are
-rounded up to a power of two while it is kept, so its size never depends on
-earlier reads.  The values are bit-identical to `wave_functions`.  Tables
-above TABLE_CACHE_BYTES (1 MiB) are returned but not kept.
+`wave_table` keeps one psi table per point set and envelope flag, so many
+functions of the same or lower degree on one grid run the recurrence once, also
+between reads on other points: each reads a row slice of its grid's table.  A
+higher degree builds a new table from psi_0 whose rows are rounded up to a power
+of two while it is kept, so its size never depends on earlier reads.  The kept
+tables total at most TABLE_CACHE_BYTES (1 MiB), least recently used dropped
+first; a larger table is returned but not kept.  Values are bit-identical to
+`wave_functions`.
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,32 +54,38 @@ def wave_functions(n, x, envelope=True):
     return out
 
 
-# Largest psi table, in bytes, that `wave_table` keeps (the 801-point, degree-28
-# table of a density request is 186 kB).
+# Bytes of psi tables that `wave_table` keeps in `_tables`, (envelope, dtype, shape, first and last point) -> (bytes
+# of the points, table), least recently used first; a larger table is not kept.  A density request's is 205 kB.
 TABLE_CACHE_BYTES = 1 << 20
-_kept = None  # (points, envelope, table), all read-only; replaced as one tuple
+_tables, _tables_lock, _table_bytes = OrderedDict(), threading.Lock(), 0
 
 
 def wave_table(n, x, envelope=True):
     """`wave_functions(n, x, envelope)` as a read-only array, reused while x holds the same values.
 
-    x must be a 1-d float array.  The table is keyed on a private copy of x,
-    so changing x in place between calls gives the new values.
+    x must be a 1-d float array.  A table is built from and kept under a copy of
+    the bytes of x, so changing x in place between calls gives the new values.
     """
-    global _kept
+    global _table_bytes
     if n < 0:
         raise ValueError("index must be >= 0")
-    kept = _kept
-    if kept is not None and kept[1] == envelope and np.array_equal(kept[0], x) and n < kept[2].shape[0]:
-        return kept[2][: n + 1]
-    points = x.copy()
-    points.flags.writeable = False
+    key, data = (envelope, x.dtype, x.shape, x[:1].tobytes(), x[-1:].tobytes()), x.tobytes()
+    with _tables_lock:
+        kept = _tables.get(key)  # the one candidate: no scan over the tables of this shape
+        if kept is not None and n < kept[1].shape[0] and kept[0] == data:
+            _tables.move_to_end(key)
+            return kept[1][: n + 1]
     # rows rounded up to a power of two while kept: n rising one by one makes O(log n) tables
     rows = 1 << int(n).bit_length()
+    points = np.frombuffer(data, x.dtype)  # the bytes the table is kept under
     out = wave_functions(rows - 1 if rows * x.nbytes <= TABLE_CACHE_BYTES else n, points, envelope)
     out.flags.writeable = False
     if out.nbytes <= TABLE_CACHE_BYTES:
-        _kept = (points, envelope, out)
+        with _tables_lock:  # replaces a lower degree, or other points with the same key
+            _table_bytes += out.nbytes - (_tables.pop(key)[1].nbytes if key in _tables else 0)
+            _tables[key] = (data, out)
+            while _table_bytes > TABLE_CACHE_BYTES:
+                _table_bytes -= _tables.popitem(last=False)[1][1].nbytes
     return out[: n + 1]
 
 

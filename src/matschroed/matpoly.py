@@ -157,9 +157,10 @@ class MatrixGaussian:
     def __call__(self, x):
         """Value at x (a finite real scalar or 1-d array) in the dtype of coeffs; finite at any x (psi_m recurrence).
 
-        The psi table comes from `hermite.wave_table`: evaluating several
-        functions on the same points builds it once (tables up to
-        TABLE_CACHE_BYTES = 1 MiB are kept), with bit-identical results.
+        The psi table comes from `hermite.wave_table`, which keeps one table per
+        point set (least recently used dropped first, TABLE_CACHE_BYTES = 1 MiB in
+        total): evaluating several functions on the same points builds it once,
+        also between calls on other points, with bit-identical results.
         """
         return self._at(x, envelope=True)
 

@@ -263,6 +263,13 @@ def test_usage_errors(capsys):
     # 1e12 points: numpy cannot allocate them, and exit 1 would claim a failing check
     assert main(["density", "--kind", "1", "--N", "2", "--nu", "1", "--grid=0:1e9:1e-3"]) == 2
     assert capsys.readouterr().err == "error: grid 0:1e9:1e-3 has 1000000000001 points, too many to allocate\n"
+    # grids numpy cannot size: a bound or step that is not finite, or more points than its index range holds
+    for grid in ("0:inf:1e-3", "-inf:0:1", "0:1:nan"):
+        assert main(["density", "--kind", "1", "--N", "2", "--nu", "1", f"--grid={grid}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: grid {grid} needs a finite lo, hi and step, with hi + step and hi - lo + step finite\n"
+    assert main(["density", "--kind", "1", "--N", "2", "--nu", "1", "--grid=0:1e300:1e-300"]) == 2
+    assert capsys.readouterr().err == "error: grid 0:1e300:1e-300 has more than 10^18 points, too many to allocate\n"
 
 
 def test_density_csv(tmp_path):

@@ -2,9 +2,12 @@ import math
 import sys
 import threading
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_reference import hermite_phys, wave_poly
 from matschroed import hermite
@@ -152,7 +155,7 @@ def test_wave_table_reuse_is_bit_identical(envelope):
     hit = wave_table(7, x, envelope)  # a row slice of the kept table
     assert np.shares_memory(hit, built)
     assert np.array_equal(hit, wave_functions(7, x, envelope))
-    higher = wave_table(30, x, envelope)  # a higher degree: a new table, kept in place of the first
+    higher = wave_table(30, x, envelope)  # a higher degree: a new table, which replaces the first one on x
     assert np.array_equal(higher, wave_functions(30, x, envelope))
     assert np.array_equal(wave_table(30, y, envelope), wave_functions(30, y, envelope))
     assert np.array_equal(wave_table(5, x, envelope), wave_functions(5, x, envelope))
@@ -234,6 +237,12 @@ def test_wave_table_is_consistent_across_threads():
     assert not wrong
 
 
+def forget_tables(monkeypatch):
+    """An empty psi-table cache for the rest of the test; monkeypatch puts the process-wide one back after it."""
+    monkeypatch.setattr(hermite, "_tables", OrderedDict())
+    monkeypatch.setattr(hermite, "_table_bytes", 0)
+
+
 def test_wave_table_builds_few_tables_for_rising_degrees(monkeypatch):
     # a family read n by n on one grid asks for degrees D, D+1, ...: each table past the kept degree has its rows
     # rounded up to a power of two while it stays under the cap, so 41 rising degrees take 7 tables here
@@ -245,13 +254,13 @@ def test_wave_table_builds_few_tables_for_rising_degrees(monkeypatch):
         return wave_functions(n, x, envelope)
 
     monkeypatch.setattr(hermite, "wave_functions", counted)
-    monkeypatch.setattr(hermite, "_kept", None)
+    forget_tables(monkeypatch)
     for n in range(41):
         assert np.array_equal(wave_table(n, x), wave_functions(n, x))
     assert calls == [0, 1, 3, 7, 15, 31, 63]
     # the table depends on the degree alone, not on the order of the reads: 28 after 24 is a slice, as 24 after 28
     for first, second in ((24, 28), (28, 24)):
-        monkeypatch.setattr(hermite, "_kept", None)
+        forget_tables(monkeypatch)
         calls.clear()
         assert np.shares_memory(wave_table(first, x), wave_table(second, x)) and calls == [31]
     # near the cap a higher degree takes just that degree, as the rounded-up table would not be kept
@@ -259,3 +268,54 @@ def test_wave_table_builds_few_tables_for_rising_degrees(monkeypatch):
     wave_table(60, y)
     calls.clear()
     assert wave_table(70, y).shape == (71, y.size) and calls == [70]
+
+
+def test_wave_table_keeps_the_density_grid_between_reads_on_other_points(monkeypatch):
+    # the benchmark's apply loop: a density request reads degree 28 on 801 points, and the checks between two
+    # requests evaluate at 5 points and on 64-point chunks; the 801-point recurrence runs once, not once a request
+    grid, few, wide = np.linspace(-12, 12, 801), np.linspace(-2, 2, 5), np.linspace(-20, 20, 640)
+    sizes = []
+
+    def counted(n, x, envelope):
+        sizes.append(x.size)
+        return wave_functions(n, x, envelope)
+
+    forget_tables(monkeypatch)
+    monkeypatch.setattr(hermite, "wave_functions", counted)
+    for _ in range(5):
+        assert np.array_equal(wave_table(28, grid), wave_functions(28, grid))
+        assert np.array_equal(wave_table(9, few), wave_functions(9, few))
+        for s in range(0, wide.size, 64):
+            assert np.array_equal(wave_table(28, wide[s : s + 64]), wave_functions(28, wide[s : s + 64]))
+    assert sizes.count(801) == 1 and sizes.count(5) == 1 and sizes.count(64) == 10
+
+
+# point sets whose tables of degree 0..40 fill the cap in a few reads: 32 rows on 2000 points are 512 kB, 64 rows
+# on 3000 points are over the cap (so degree 40 there is a table of 41 rows), and 8 rows on 20000 points are too
+LRU_GRIDS = [np.linspace(-12, 12, 801), np.linspace(-2, 2, 5), np.linspace(-3, 4, 64), np.linspace(-6, 6, 2000),
+             np.linspace(-8, 8, 3000), np.linspace(-2, 2, 20000)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, len(LRU_GRIDS) - 1), st.integers(0, 40), st.booleans()), max_size=30))
+def test_wave_table_keeps_at_most_the_cap_dropping_the_least_recently_used(reads):
+    # the policy as a model: (grid, envelope) -> rows, most recently used last, next to the kept tables
+    model, grid_of = OrderedDict(), {x.tobytes(): i for i, x in enumerate(LRU_GRIDS)}
+    with pytest.MonkeyPatch.context() as mp:
+        forget_tables(mp)
+        for g, n, envelope in reads:
+            x = LRU_GRIDS[g]
+            assert wave_table(n, x, envelope).tobytes() == wave_functions(n, x, envelope).tobytes()
+            if model.get((g, envelope), 0) > n:
+                model.move_to_end((g, envelope))
+            else:
+                rows = 1 << n.bit_length()
+                rows = rows if rows * x.nbytes <= TABLE_CACHE_BYTES else n + 1
+                if rows * x.nbytes <= TABLE_CACHE_BYTES:
+                    model.pop((g, envelope), None)
+                    model[g, envelope] = rows
+                while sum(r * LRU_GRIDS[k[0]].nbytes for k, r in model.items()) > TABLE_CACHE_BYTES:
+                    model.popitem(last=False)
+            kept = [(grid_of[data], key[0], table.shape[0]) for key, (data, table) in hermite._tables.items()]
+            assert kept == [(g, envelope, rows) for (g, envelope), rows in model.items()]
+            assert hermite._table_bytes == sum(t.nbytes for _, t in hermite._tables.values()) <= TABLE_CACHE_BYTES
