@@ -9,7 +9,7 @@ table alpha directly, at the indices of its shape plan: entry (r, a) of
 Phi-tilde_n is alpha[n, r, a] psi_{n+k(a-r)}, so expansion and
 reconstruction are each one gather at the plan's offsets and one real
 product, with no Phi-tilde_n built.  A band matrix is stored as its 2k+1
-block diagonals, and `matrix_element` reads the same product for its one n.
+block diagonals, kept by the family; `matrix_element` reads one of its blocks.
 """
 
 import functools
@@ -144,33 +144,14 @@ def reconstruct(expansion: CoefficientExpansion, ctx: FamilyContext):
     return MatrixGaussian(_synthesis(C, ctx, n_max + ctx.spec.kind * (N - 1) + 1))
 
 
-def _band(ctx, k, rows, n_max):
-    """Blocks (x^k I)_{n,n+d}, d = -k..k, of the n in the slice rows, (len, 2k+1, N, N), 0 past 0..n_max.
-
-    Entry (r, a) of x^k Phi-tilde_n is sum_o alpha[n, r, a] <x^k psi_i, psi_{i+o}> psi_{i+o}, i = n + kind(a - r);
-    entry (r, s) of block (n, n + d) takes the o that meets row s (plan.meets): one product per n.
-    """
-    plan, N, j = ctx.plan, ctx.size, k - 1
-    alpha, i, near = ctx.alpha[rows], plan.support[rows], plan.near[j][rows]
-    shifted = np.empty((len(i), 2 * k + 1, N, N))  # (n, o, r, a); `take` clips i < 0, where alpha is 0, to 0
-    np.multiply(alpha[:, None], plan.ladder[j].take(i, axis=1, mode="clip").transpose(1, 0, 2, 3), out=shifted)
-    right = ctx.alpha.take(near, axis=0) * (plan.keep[j][rows] & (near <= n_max))[..., None, None]  # (n, d, s, a)
-    pairs = shifted.reshape(len(i), -1, N) @ right.reshape(len(i), -1, N).transpose(0, 2, 1)  # 0 where dropped
-    pairs = pairs.reshape(len(i), 2 * k + 1, N, 2 * k + 1, N)  # (n, o, r, d, s)
-    d, o, r, s = plan.meets[j]
-    out = np.zeros((len(i), 2 * k + 1, N, N))
-    out[:, d, r, s] = pairs[:, o, r, d, s]
-    return out
-
-
 def matrix_element(ctx: FamilyContext, k, n, m):
-    """(x^k I)_{nm} = int x^k Phi-tilde_n(x) Phi-tilde_m(x)^* dx, read as `band_pattern` reads it; 0 for |n - m| > k."""
+    """(x^k I)_{nm} = int x^k Phi-tilde_n(x) Phi-tilde_m(x)^* dx: a block of the family's band; 0 if |n - m| > k."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     n, m = range(ctx.n_max + 1)[n], range(ctx.n_max + 1)[m]  # negative indices; IndexError out of range
     if abs(n - m) > k:  # vanishes by degree counting
         return np.zeros((ctx.size, ctx.size))
-    return _band(ctx, k, slice(n, n + 1), ctx.n_max)[0, m - n + k]
+    return ctx.bands[k - 1][n, m - n + k].copy()  # writable, as the zero block is
 
 
 @dataclass(frozen=True)
@@ -217,9 +198,9 @@ class BandMatrix:
 def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
     """Matrix of the homomorphism F -> x^k F in the orthonormal basis, as a BandMatrix.
 
-    Blocks with |n - m| > k vanish by degree counting and are not computed;
-    the band is one batched product over alpha at the plan's indices, and
-    the dense views are made only when read.
+    Blocks with |n - m| > k vanish by degree counting and are not computed; the
+    band is the family's (`FamilyContext.bands`), cut to rows 0..n_max and 0 past
+    them for a lower n_max, and the dense views are made only when read.
     """
     if not 0 < threshold < np.inf:  # also false for nan
         raise ValueError(f"threshold must be a positive finite number, got {threshold}")
@@ -229,6 +210,9 @@ def band_pattern(ctx: FamilyContext, k, n_max=None, threshold=1e-10):
         raise ValueError(f"n_max must be in 0..{ctx.n_max} (the family's n_max), got {n_max}")
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    band = _band(ctx, k, slice(0, n_max + 1), n_max)
-    band.flags.writeable = False
+    band = ctx.bands[k - 1]
+    if n_max < ctx.n_max:
+        band = band[: n_max + 1].copy()
+        band[np.add.outer(np.arange(n_max + 1), np.arange(-k, k + 1)) > n_max] = 0.0
+        band.flags.writeable = False
     return BandMatrix(spec=ctx.spec, k=k, n_max=n_max, threshold=threshold, band=band)

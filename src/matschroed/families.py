@@ -14,8 +14,8 @@ degree, then one pass of signs and checks.
 
 A build is split like a sparse direct solve: a symbolic plan, keyed on
 (kind, N, n_max) and never on nu, and a numeric pass.  The plan (`_Plan`)
-holds every index array the build and the band matrices of `expansion`
-need, read-only.  Plans are kept, least recently used dropped first, up to
+holds every index array the build, `_band` and `expansion` need, read-only.
+Plans are kept, least recently used dropped first, up to
 PLAN_CACHE_BYTES (4 MiB: two plans of the largest supported shape, kind 2,
 N=8, n_max=400, at 1.8 MB; the 14 shapes of the benchmark's build workload
 take 0.59 MB).  The numeric pass forms T = band R^{-1} from
@@ -153,9 +153,11 @@ class FamilyContext:
     null_margin[n, r] is the second-smallest over the largest singular value
     of the degree condition of row r of Phi-tilde_n (1.0 when the row has a
     single unknown): near machine epsilon, the row is barely determined.
-    structured and the LazyTables phi_tilde and pn are made from these fields on
-    first read, then kept.  pn[n] is the MatrixGaussian of P_n(x) e^{-x^2/2} on
+    structured and the LazyTables phi_tilde, pn and bands are made from these fields
+    on first read, then kept.  pn[n] is the MatrixGaussian of P_n(x) e^{-x^2/2} on
     psi_0..psi_n; Phi_n is phi_tilde[n].left_mul(np.diag(np.exp(0.5 * log_norms[n]))).
+    bands[k - 1] is the read-only band of x^k, made by `_band` on first read: at N = 8,
+    n_max = 400, 0.62 MB in 0.9 ms (k = 1) and 1.03 MB in 1.9 ms (k = 2); later reads are O(1).
     """
 
     spec: FamilySpec
@@ -186,6 +188,10 @@ class FamilyContext:
         with np.errstate(over="ignore"):  # ||P_n|| leaves the double range near n = 340
             root = np.exp(0.5 * self.log_norms)
         return LazyTable(self.n_max + 1, functools.partial(_poly, _pn_window(self), root, self.spec))
+
+    @functools.cached_property
+    def bands(self):
+        return LazyTable(2, functools.partial(_band, self.alpha, self.spec))
 
 
 # Bytes of shape plans that `_plan` keeps, least recently used dropped first:
@@ -393,6 +399,25 @@ def _finite(values, spec, name):
 def _at_support(ctx, table, rows=slice(None)):
     """Every Phi-tilde_n read from a per-psi_m table, psi index last: table[..., m] alpha[n, r, a] for r in `rows`."""
     return table[..., np.maximum(ctx.plan.support[:, rows], 0)] * ctx.alpha[:, rows]  # alpha is 0 where m < 0
+
+
+def _band(alpha, spec, j):
+    """Blocks (x^k I)_{n,n+d}, k = j + 1 and d = -k..k, of every n, (n_max+1, 2k+1, N, N), read-only; 0 past 0..n_max.
+
+    Entry (r, a) of x^k Phi-tilde_n is sum_o alpha[n, r, a] <x^k psi_i, psi_{i+o}> psi_{i+o}, i = n + kind(a - r);
+    entry (r, s) of block (n, n + d) takes the o that meets row s (plan.meets): one batched product over every n.
+    """
+    N, k, count, plan = spec.size, j + 1, len(alpha), _plan(spec.kind, spec.size, len(alpha) - 1)
+    shifted = np.empty((count, 2 * k + 1, N, N))  # (n, o, r, a); `take` clips i < 0, where alpha is 0, to 0
+    np.multiply(alpha[:, None], plan.ladder[j].take(plan.support, axis=1, mode="clip").swapaxes(0, 1), out=shifted)
+    right = alpha.take(plan.near[j], axis=0) * plan.keep[j][..., None, None]  # (n, d, s, a)
+    pairs = shifted.reshape(count, -1, N) @ right.reshape(count, -1, N).transpose(0, 2, 1)  # 0 where dropped
+    pairs = pairs.reshape(count, 2 * k + 1, N, 2 * k + 1, N)  # (n, o, r, d, s)
+    d, o, r, s = plan.meets[j]
+    out = np.zeros((count, 2 * k + 1, N, N))
+    out[:, d, r, s] = pairs[:, o, r, d, s]
+    out.flags.writeable = False
+    return out
 
 
 def _function(alpha, spec, n):

@@ -12,9 +12,9 @@ functions of the same or lower degree on one grid run the recurrence once, also
 between reads on other points: each reads a row slice of its grid's table.  A
 higher degree builds a new table from psi_0 whose rows are rounded up to a power
 of two while it is kept, so its size never depends on earlier reads.  The kept
-tables total at most TABLE_CACHE_BYTES (1 MiB), least recently used dropped
-first; a larger table is returned but not kept.  Values are bit-identical to
-`wave_functions`.
+tables total at most TABLE_CACHE_BYTES (1 MiB) in at most TABLE_CACHE_ENTRIES
+(256) tables, least recently used dropped first; a larger table is returned but
+not kept.  Values are bit-identical to `wave_functions`.
 """
 
 import threading
@@ -43,7 +43,7 @@ def wave_functions(n, x, envelope=True):
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    if envelope:  # e^{-x^2/2}, so every row, is 0 from |x| = 38.6 on; clipped, x x stays finite
+    if envelope:  # each row is 0 past |x| = 38.6 (e^{-x^2/2}), wrong for m >= 689 (ROADMAP item 12); clip: finite x x
         x = np.clip(x, -1e154, 1e154)
     out = np.empty((n + 1, x.size))
     out[0] = np.pi ** -0.25 * (np.exp(-x * x / 2.0) if envelope else 1.0)
@@ -54,9 +54,10 @@ def wave_functions(n, x, envelope=True):
     return out
 
 
-# Bytes of psi tables that `wave_table` keeps in `_tables`, (envelope, dtype, shape, first and last point) -> (bytes
-# of the points, table), least recently used first; a larger table is not kept.  A density request's is 205 kB.
-TABLE_CACHE_BYTES = 1 << 20
+# Bytes and count of psi tables that `wave_table` keeps in `_tables`, (envelope, dtype, shape, first and last point)
+# -> (bytes of the points, table), least recently used first; a larger table is not kept.  A density request's is
+# 205 kB.  An entry costs ~570 bytes besides its table, so 8192 one-point tables of 16 rows would hold 5.5 MB.
+TABLE_CACHE_BYTES, TABLE_CACHE_ENTRIES = 1 << 20, 256
 _tables, _tables_lock, _table_bytes = OrderedDict(), threading.Lock(), 0
 
 
@@ -84,7 +85,7 @@ def wave_table(n, x, envelope=True):
         with _tables_lock:  # replaces a lower degree, or other points with the same key
             _table_bytes += out.nbytes - (_tables.pop(key)[1].nbytes if key in _tables else 0)
             _tables[key] = (data, out)
-            while _table_bytes > TABLE_CACHE_BYTES:
+            while _table_bytes > TABLE_CACHE_BYTES or len(_tables) > TABLE_CACHE_ENTRIES:
                 _table_bytes -= _tables.popitem(last=False)[1][1].nbytes
     return out[: n + 1]
 

@@ -158,7 +158,7 @@ class MatrixGaussian:
         """Value at x (a finite real scalar or 1-d array) in the dtype of coeffs; finite at any x (psi_m recurrence).
 
         The psi table comes from `hermite.wave_table`, which keeps one table per
-        point set (least recently used dropped first, TABLE_CACHE_BYTES = 1 MiB in
+        point set (least recently used dropped first, up to 1 MiB in 256 tables in
         total): evaluating several functions on the same points builds it once,
         also between calls on other points, with bit-identical results.
         """

@@ -12,8 +12,8 @@ none compares a psi-phase or a psi-sign with itself: the Fourier
 eigen-equation and the real integral equations against the trapezoidal rule
 on a uniform grid, which converges geometrically for Gaussian-decaying
 analytic integrands (Trefethen & Weideman, SIAM Review 56, 2014), and the
-three-term relation of multiplication by x against the band matrix of
-`expansion`.  Every Phi-tilde_n takes the trapezoid nodes of the highest
+three-term relation of multiplication by x against the band of x the
+family keeps.  Every Phi-tilde_n takes the trapezoid nodes of the highest
 psi-degree, n_max + D, so the sums of every psi_m are one product of the cos
 and sin kernels with the psi table at those nodes.  Entry (r, a) of
 Phi-tilde_n is alpha[n, r, a] psi_m, m = n + k(a - r) (the plan's `support`),
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansion import band_pattern
 from .families import FamilyContext, _at_support, _behind
 from .hermite import wave_functions
 from .matpoly import MatrixGaussian, ladder, transform_apply  # noqa: F401 (re-exported)
@@ -169,11 +168,11 @@ def fourier_eigen_residual(ctx: FamilyContext):
 def three_term_residual(ctx: FamilyContext):
     """Residual of x Phi-tilde_n(x) = sum_{|d|<=1} (x I)_{n,n+d} Phi-tilde_{n+d}(x) at POINTWISE_GRID, for n < n_max.
 
-    The blocks are the band of `band_pattern(ctx, 1)`; relative[n] is the largest residual at the points, for
-    n < n_max only, as Phi-tilde_{n_max+1} is not built.
+    The blocks are the band of x the family keeps, `ctx.bands[0]`; relative[n] is the largest residual at the points,
+    for n < n_max only, as Phi-tilde_{n_max+1} is not built.
     """
     n_max, values = ctx.n_max, _kernel_sums(ctx)[1]
-    band = band_pattern(ctx, 1).band[:n_max]  # (n, d + 1, r, s), 0 where n + d < 0
+    band = ctx.bands[0][:n_max]  # (n, d + 1, r, s), 0 where n + d < 0
     rhs = np.einsum("ndrs,ndxsa->nxra", band, values[ctx.plan.near[0][:n_max]])
     resid = np.abs(POINTWISE_GRID[:, None, None] * values[:n_max] - rhs).max(axis=(1, 2, 3))
     return _report(ctx, f"three_term_kind{ctx.spec.kind}", resid)  # absolute, as |Phi-tilde_n(x)| < 1

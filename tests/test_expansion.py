@@ -1,9 +1,11 @@
+import dataclasses
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from matschroed import families
 from matschroed.expansion import (
     CoefficientExpansion,
     _gram_blocks,
@@ -17,7 +19,7 @@ from matschroed.expansion import (
 from matschroed.families import FamilySpec, build_family, gamma_seq
 from matschroed.hermite import gauss_hermite
 from matschroed.matpoly import MatrixGaussian
-from matschroed.operators import transform_apply
+from matschroed.operators import three_term_residual, transform_apply
 
 SPECS = [
     FamilySpec(1, 2, [1.0]),
@@ -541,3 +543,54 @@ def test_band_pattern_at_n_max_400_keeps_no_dense_matrix():
         tracemalloc.stop()
     assert peak < 8 << 20, peak
     assert bm.band.shape == (401, 3, 8, 8) and np.isfinite(bm.band).all()
+
+
+def test_band_is_made_once_per_family_and_k(monkeypatch):
+    calls = []
+
+    def counted(alpha, spec, j):
+        calls.append((spec, j))
+        return band(alpha, spec, j)
+
+    band = families._band
+    monkeypatch.setattr(families, "_band", counted)
+    spec = FamilySpec(1, 3, [0.8, -1.3])
+    ctx = build_family(spec, 12)
+    for _ in range(2):
+        for k in (1, 2):
+            band_pattern(ctx, k)
+            band_pattern(ctx, k, n_max=5)
+            matrix_element(ctx, k, 4, 4 + k)
+        three_term_residual(ctx)
+    assert sorted(calls) == [(spec, 0), (spec, 1)]
+    assert band_pattern(ctx, 1).band is ctx.bands[0] and band_pattern(ctx, 2).band is ctx.bands[1]
+    copy = dataclasses.replace(ctx)  # a new instance keeps nothing of the old one's
+    band_pattern(copy, 1)
+    assert sorted(calls) == [(spec, 0), (spec, 0), (spec, 1)]
+
+
+def test_replaced_family_makes_its_own_band_from_its_own_alpha():
+    ctx, other = (build_family(FamilySpec(2, 3, nu), 12) for nu in ([0.8, -1.3], [1.1, 0.4]))
+    kept = [band_pattern(ctx, k).band for k in (1, 2)]
+    copy = dataclasses.replace(ctx, alpha=other.alpha)
+    for k in (1, 2):
+        assert band_pattern(copy, k).band.tobytes() == band_pattern(other, k).band.tobytes()
+        assert band_pattern(ctx, k).band is kept[k - 1] and not np.array_equal(kept[k - 1], band_pattern(copy, k).band)
+        assert np.array_equal(matrix_element(copy, k, 6, 6 + k), band_pattern(other, k).band[6, 2 * k])
+
+
+def test_family_keeps_both_bands_and_no_dense_view():
+    # the bands of x and x^2 take 0.62 MB and 1.03 MB at this shape; a BandMatrix's flat takes 82 MB, and goes with it
+    ctx = build_family(FamilySpec(1, 8, (0.8,) * 7), 400)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in (1, 2):
+            assert band_pattern(ctx, k).band.nbytes == 401 * (2 * k + 1) * 64 * 8
+        bm = band_pattern(ctx, 1)
+        assert bm.flat.nbytes == (401 * 8) ** 2 * 8
+        del bm
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.8e6, held

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import OrderedDict
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from hermite_reference import hermite_phys, wave_poly
 from matschroed import hermite
 from matschroed.families import FamilySpec, build_family
-from matschroed.hermite import TABLE_CACHE_BYTES, gauss_hermite, wave_function, wave_functions, wave_table
+from matschroed.hermite import (TABLE_CACHE_BYTES, TABLE_CACHE_ENTRIES, gauss_hermite, wave_function, wave_functions,
+                                wave_table)
 
 
 def test_phys_recurrence_pointwise():
@@ -288,6 +290,26 @@ def test_wave_table_keeps_the_density_grid_between_reads_on_other_points(monkeyp
         for s in range(0, wide.size, 64):
             assert np.array_equal(wave_table(28, wide[s : s + 64]), wave_functions(28, wide[s : s + 64]))
     assert sizes.count(801) == 1 and sizes.count(5) == 1 and sizes.count(64) == 10
+
+
+def test_wave_table_holds_about_what_it_counts_for_one_point_reads(monkeypatch):
+    # phi_tilde[10] of a kind 1, N=5 family read at 20000 single points asks for degree 14 at each: a table of 16
+    # rows is 128 bytes, and its entry costs ~570 more, so by bytes alone 8192 would be kept and 5.5 MB held.  The
+    # entry count keeps what is held near what is counted.  Only memory is measured, so the recurrence is stubbed.
+    monkeypatch.setattr(hermite, "wave_functions", lambda n, x, envelope: np.zeros((n + 1, x.size)))
+    xs = np.random.default_rng(0).uniform(-5, 5, 20000)
+    wave_table(14, xs[:1])
+    forget_tables(monkeypatch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in xs:
+            wave_table(14, np.array([x]))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(hermite._tables) == TABLE_CACHE_ENTRIES and hermite._table_bytes == TABLE_CACHE_ENTRIES * 16 * 8
+    assert held <= 1.5 * 2**20, held
 
 
 # point sets whose tables of degree 0..40 fill the cap in a few reads: 32 rows on 2000 points are 512 kB, 64 rows

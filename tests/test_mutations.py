@@ -4,14 +4,20 @@ Each mutant is a `dataclasses.replace` of a family built at kind 1 or 2, N in {2
 mutant and shape the table holds the set of `cli.check_lines` names that must fail (read at or above their limit);
 every other line must pass.  A new line, a changed limit or a line that starts to see a fault updates the table.
 The failing lines read 9.8e-7 or more and the passing ones 1e-14 or less, so the limits are far from both.
+
+Oracle noise is the one mutant of the check rather than of the family: complex noise added to the trapezoid gap of
+`operators._kernel_sums`, at the first decade where `fourier_eigen` fails (NOISE_FAILS, measured).  `real_integral`
+reads the same gap, so there it fails too or reads at most twice `fourier_eigen`; no other line reads the gap.
 """
 
 import dataclasses
 import functools
 import math
 
+import numpy as np
 import pytest
 
+from matschroed import operators
 from matschroed.cli import DEFAULT_SEED, check_lines
 from matschroed.families import FamilySpec, build_family
 
@@ -85,3 +91,26 @@ def test_check_lines_fail_exactly_as_the_table_says(mutant, kind, N, failing):
     assert expected <= set(lines), expected - set(lines)
     for name, (residual, limit) in lines.items():
         assert (residual >= limit) == (name in expected), (name, residual, limit)
+
+
+# the decade of noise on the gap at which fourier_eigen (limit TOL) first fails, at every kind and N here; measured
+NOISE_FAILS = 1e-9
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_oracle_noise_fails_fourier_eigen_and_real_integral_at_most_twice_it(monkeypatch, kind, N):
+    ctx = built(kind, N)
+    gap, values = operators._kernel_sums(ctx)
+    rng = np.random.default_rng([kind, N])
+    unit = rng.standard_normal(gap.shape) + 1j * rng.standard_normal(gap.shape)
+    for level in (10.0 ** -e for e in range(14, 5, -1)):
+        monkeypatch.setattr(operators, "_kernel_sums", lambda c, noisy=gap + level * unit: (noisy, values))
+        lines = {name: (residual, limit) for name, residual, limit in check_lines(ctx, TOL, DEFAULT_SEED)}
+        failing = {name for name, (residual, limit) in lines.items() if residual >= limit}
+        if "fourier_eigen" in failing:
+            break
+    assert level == NOISE_FAILS and "fourier_eigen" in failing
+    (fourier, _), (real, real_limit) = lines["fourier_eigen"], lines["real_integral"]
+    assert real >= real_limit or real <= 2.0 * fourier, (real, fourier)
+    assert failing <= {"fourier_eigen", "real_integral"}, failing
