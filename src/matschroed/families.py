@@ -154,7 +154,8 @@ class FamilyContext:
     of the degree condition of row r of Phi-tilde_n (1.0 when the row has a
     single unknown): near machine epsilon, the row is barely determined.
     structured and the LazyTables phi_tilde, pn and bands are made from these fields
-    on first read, then kept.  pn[n] is the MatrixGaussian of P_n(x) e^{-x^2/2} on
+    on first read, then kept.  phi_tilde[n] is alpha[n] placed as is (`_function`: degree n + D, checked finite
+    but not validated again as a MatrixGaussian).  pn[n] is the MatrixGaussian of P_n(x) e^{-x^2/2} on
     psi_0..psi_n; Phi_n is phi_tilde[n].left_mul(np.diag(np.exp(0.5 * log_norms[n]))).
     bands[k - 1] is the read-only band of x^k, made by `_band` on first read: at N = 8,
     n_max = 400, 0.62 MB in 0.9 ms (k = 1) and 1.03 MB in 1.9 ms (k = 2); later reads are O(1).
@@ -421,12 +422,14 @@ def _band(alpha, spec, j):
 
 
 def _function(alpha, spec, n):
-    """Phi-tilde_n: alpha[n] placed at its psi indices m."""
+    """Phi-tilde_n: the finite alpha[n] placed at its psi indices m, untrimmed; its nonzero rows are lo::kind."""
     N, k = spec.size, spec.kind
-    rows, cols = np.indices((N, N))
+    rows, cols, m = *np.indices((N, N)), n + _shift(k, N)
+    used = m[_finite(alpha[n], spec, f"alpha[{n}]") != 0]  # alpha is 0 where m < 0; a replaced alpha is checked
+    lo, top = (int(used.min()), int(used.max())) if used.size else (0, 0)
     coeffs = np.zeros((n + k * (N - 1) + 1, N, N))
-    coeffs[np.maximum(n + _shift(k, N), 0), rows, cols] = alpha[n]  # 0 where m < 0
-    return MatrixGaussian(coeffs)
+    coeffs[np.maximum(m, 0), rows, cols] = alpha[n]
+    return MatrixGaussian._exact(coeffs[: top + 1], lo, k)
 
 
 def _pn_window(ctx):

@@ -9,8 +9,13 @@ the phase (+-i)^m (so its result is complex), the reflection x -> -x the sign
 identities can be checked by comparing coefficients instead of sampling.
 The psi_m are orthonormal, so |C_m| is the L^2 size of its term and inner
 products are coefficient sums.
+A MatrixGaussian is immutable, validated once into a read-only array it owns.
+The phase of `transform_apply`, the sign of `reflect` and the placement of
+alpha (`families._function`) keep every |C_m|, so they skip validation
+(`_exact`).  Evaluation reads psi rows lo::stride (2 for a kind 2 Phi-tilde_n).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,10 +94,14 @@ def poly_times(c, P):
 
 @dataclass(frozen=True)
 class MatrixGaussian:
-    """f(x) = sum_m coeffs[m] psi_m(x), coeffs[m] N x N: float64 for real or integer input, else complex128."""
+    """f(x) = sum_m coeffs[m] psi_m(x), coeffs[m] N x N: float64 for real or integer input, else complex128.
+
+    Immutable: coeffs is read-only and owned (copied where it would alias a writeable input), validated once.
+    """
 
     coeffs: np.ndarray = field(repr=False)
     lo: int = field(init=False, repr=False, compare=False)  # lowest index with a nonzero coefficient (0 if none)
+    stride: int = field(default=1, init=False, repr=False, compare=False)  # rows lo::stride hold every nonzero one
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
@@ -106,8 +115,19 @@ class MatrixGaussian:
             first = tuple(int(i) for i in np.argwhere(~np.isfinite(c))[0])
             raise ValueError(f"coeffs must be finite, got {c[first]} at index {first}")
         keep = np.flatnonzero(sizes > TRIM_TOL * sizes.max())  # trailing indices below it are dropped
-        object.__setattr__(self, "coeffs", np.ascontiguousarray(c[: keep[-1] + 1 if keep.size else 1]))
+        kept = np.ascontiguousarray(c[: keep[-1] + 1 if keep.size else 1])
+        if kept.flags.writeable and isinstance(self.coeffs, np.ndarray) and np.may_share_memory(kept, self.coeffs):
+            kept = kept.copy()  # the caller could change it later
+        kept.flags.writeable = False
+        object.__setattr__(self, "coeffs", kept)
         object.__setattr__(self, "lo", int(np.argmax(sizes > 0.0)))
+
+    @classmethod
+    def _exact(cls, coeffs, lo, stride=1):
+        """For exact maps only: finite, trimmed coeffs, nonzero on rows lo::stride, taken without validation."""
+        f, coeffs.flags.writeable = object.__new__(cls), False
+        f.__dict__.update(coeffs=coeffs, lo=lo, stride=stride)
+        return f
 
     @property
     def size(self):
@@ -140,9 +160,10 @@ class MatrixGaussian:
             raise ValueError(f"evaluation points must be a scalar or a 1-d array, got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError(f"evaluation points must be finite, got {x[~np.isfinite(x)][:3]}")
-        psi = wave_table(self.degree, np.atleast_1d(x), envelope)[self.lo :]  # the rows below lo meet zeros
+        rows = slice(self.lo, None, self.stride)  # the other rows meet zeros
+        psi = wave_table(self.degree, np.atleast_1d(x), envelope)[rows]
         # a real product; a complex function runs on its interleaved (re, im) view, with no complex psi table
-        flat = self.coeffs[self.lo :].reshape(psi.shape[0], -1).view(float)
+        flat = self.coeffs[rows].reshape(psi.shape[0], -1).view(float)
         out = np.empty((psi.shape[1], flat.shape[1]))
         step = max(1, PRODUCT_BUDGET // flat.size)  # points per product
         for s in range(0, psi.shape[1], step):
@@ -200,7 +221,7 @@ class MatrixGaussian:
     def reflect(self):
         """x -> f(-x): psi_m has parity (-1)^m."""
         signs = (-1.0) ** np.arange(self.degree + 1)
-        return MatrixGaussian(signs[:, None, None] * self.coeffs)
+        return MatrixGaussian._exact(signs[:, None, None] * self.coeffs, self.lo, self.stride)  # |sign| = 1
 
     def differentiate(self):
         """Exact derivative, by the ladder operator."""
@@ -217,9 +238,20 @@ class MatrixGaussian:
         return transform_apply(self, 0, direction)
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _phase(rows, N, k, direction):
+    """The read-only (rows, 1, N) table i^{direction(m + kJ_b)} of `transform_apply`, kept per shape."""
+    power = direction * (np.arange(rows)[:, None] + k * np.arange(N - 1, -1, -1))
+    table = _I_POW[power % 4][:, None, :]
+    table.flags.writeable = False
+    return table
+
+
 def transform_apply(f: MatrixGaussian, k, direction=1):
-    """The Fourier-type transform F_k (or its inverse), exactly: coefficient (m, a, b) times i^{direction(m + kJ_b)}."""
+    """The Fourier-type transform F_k (or its inverse), exactly: coefficient (m, a, b) times i^{direction(m + kJ_b)}.
+
+    The phase has modulus 1, so f's validation, trim and `lo` carry over; its table is kept for 32 shapes.
+    """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    power = direction * (np.arange(f.degree + 1)[:, None] + k * np.arange(f.size - 1, -1, -1))
-    return MatrixGaussian(f.coeffs * _I_POW[power % 4][:, None, :])
+    return MatrixGaussian._exact(f.coeffs * _phase(f.degree + 1, f.size, k, direction), f.lo, f.stride)

@@ -44,3 +44,26 @@ def wave_polys(n):
 def wave_poly(n):
     """Monomial coefficients of the polynomial part of psi_n; see `wave_polys`."""
     return wave_polys(n)[:, n]
+
+
+def wave_function_decimal(m, xs, digits=40):
+    """psi_m at each x in xs by the normalized recurrence in `decimal` arithmetic, rounded to float.
+
+    With `digits` significant digits and decimal's wide exponent range, e^{-x^2/2} does not underflow at any x a
+    test uses, so the values are right to double precision where the library's double-precision start would be 0.
+    """
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+        up = [(Decimal(2) / (k + 1)).sqrt() for k in range(m)]
+        down = [(Decimal(k) / (k + 1)).sqrt() for k in range(m)]
+        out = []
+        for x in xs:
+            x = Decimal(float(x))
+            prev, cur = Decimal(0), (-x * x / 2).exp() / pi.sqrt().sqrt()
+            for k in range(m):
+                prev, cur = cur, x * up[k] * cur - down[k] * prev
+            out.append(float(cur))
+    return np.array(out)

@@ -149,6 +149,16 @@ def test_check_exits_0_1_or_2_on_any_spec(kind, nu, n_max):
     assert_exit_rule(run_check(*args, *([f"--nu={','.join(map(repr, nu))}"] if nu else [])))
 
 
+@pytest.mark.parametrize("n_max", [800, 1500])
+@pytest.mark.parametrize("kind, N", [(1, 3), (1, 8), (2, 3), (2, 8)])
+def test_check_passes_where_psi_has_mass_past_the_underflow(kind, N, n_max):
+    # from n_max + D near 690 the psi_m have mass past |x| = 38, where e^{-x^2/2} underflows; the trapezoid lines
+    # read 0.15 to 0.33 there before psi was scaled.  Kind 2, N=8 at nu = +-0.8 stops building at n = 248, so 0.1.
+    v = 0.1 if (kind, N) == (2, 8) else 0.8
+    nu = ",".join(str(v * (-1) ** j) for j in range(N - 1))
+    assert main(["check", "--kind", str(kind), "--N", str(N), f"--nu={nu}", "--nmax", str(n_max)]) == 0
+
+
 def test_check_does_not_pass_a_build_that_is_not_orthonormal(capsys):
     # rows barely determined (null_margin 1.4e-13): the build returns alpha with an orthonormality residual of 1.4e-6
     # from n = 8 and raises nothing, so check must fail it; exit 2 holds too, should the build raise instead

@@ -548,3 +548,46 @@ def test_values_at_support_equal_phi_tilde_bit_for_bit(kind, N, n_max, points):
     np.testing.assert_array_equal(values, np.stack([f(x) for f in ctx.phi_tilde], axis=1))
     rows = _at_support(ctx, psi.T, [N - 1, 0])
     np.testing.assert_array_equal(rows, values[:, :, [N - 1, 0]])
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_phi_tilde_is_the_exact_alpha_placement(kind):
+    # at nu = 1e-6 the corner alpha[n, 0, N-1] is near nu^4 = 1e-24, below the 1e-14 trim of a validated
+    # MatrixGaussian, which read degree n + 2 at kind 1; placed without the trim every Phi-tilde_n keeps degree n + D
+    N, D = 5, kind * 4
+    ctx = build_family(FamilySpec(kind, N, [1e-6] * (N - 1)), 12)
+    rows, cols = np.indices((N, N))
+    for n, f in enumerate(ctx.phi_tilde):
+        assert f.degree == n + D and f.stride == kind and not f.coeffs.flags.writeable
+        assert f.coeffs[f.lo].any() and not f.coeffs[: f.lo].any()  # some alpha underflow to 0 at this nu
+        assert np.array_equal(f.coeffs[np.maximum(n + kind * (cols - rows), 0), rows, cols], ctx.alpha[n])
+    grids = np.linspace(-12.0, 12.0, 801), np.array([-2.5, -1.0, 0.0, 0.7, 1.9]), np.array([-3.0, -1.5, 0.0, 0.8, 2.2])
+    for x in grids:  # the density, oracle and pointwise grids of the benchmark and `check`
+        values = _at_support(ctx, wave_functions(ctx.n_max + D, x).T)
+        np.testing.assert_array_equal(values, np.stack([f(x) for f in ctx.phi_tilde], axis=1))
+
+
+def test_kind_2_evaluation_multiplies_only_the_rows_of_its_parity(monkeypatch):
+    # m = n + 2(a - r) keeps the parity of n, so a kind 2 Phi-tilde_n reads D + 1 psi rows instead of 2D + 1
+    ctx = build_family(FamilySpec(2, 5, [0.8, -0.6, 0.9, 0.7]), 20)
+    x = np.linspace(-12.0, 12.0, 801)
+    inner, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: inner.append(a.shape[1]) or matmul(a, b, **kw))
+    for n in range(8, 21):
+        f = ctx.phi_tilde[n]
+        inner.clear()
+        values = f(x)
+        assert set(inner) == {9}  # D + 1, D = 8
+        psi = wave_functions(f.degree, x)[f.lo :]
+        full = (psi.T @ f.coeffs[f.lo :].reshape(psi.shape[0], -1)).reshape(values.shape)
+        np.testing.assert_array_equal(values, full)
+
+
+def test_phi_tilde_of_a_replaced_non_finite_alpha_raises():
+    ctx = build_family(FamilySpec(1, 3, [0.8, -1.3]), 6)
+    alpha = ctx.alpha.copy()
+    alpha[4, 1, 2] = np.nan
+    broken = dataclasses.replace(ctx, alpha=alpha)
+    assert np.isfinite(broken.phi_tilde[3].coeffs).all()
+    with pytest.raises(ValueError, match=r"alpha\[4\] leaves the double range"):
+        broken.phi_tilde[4]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermite_reference import hermite_phys, wave_poly
+from hermite_reference import hermite_phys, wave_function_decimal, wave_poly
 from matschroed import hermite
 from matschroed.families import FamilySpec, build_family
 from matschroed.hermite import (TABLE_CACHE_BYTES, TABLE_CACHE_ENTRIES, gauss_hermite, wave_function, wave_functions,
@@ -180,6 +180,32 @@ def test_wave_functions_read_0_at_huge_points_without_warning(x):
     assert np.all(values[1] == 0.0) and np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("m", [700, 745, 800, 1000, 1500])
+def test_wave_functions_match_a_decimal_reference_past_the_underflow(m):
+    # e^{-x^2/2} is subnormal from |x| = 37.6 and 0 from 38.6, while psi_m has mass out to sqrt(2m+1): 38.7 at m = 745
+    top = math.sqrt(2 * m + 1) + 5.0
+    x = np.concatenate([np.linspace(-top, top, 41), [37.0, 37.5, 38.0, 38.7, 39.0, 40.0]])
+    values = wave_functions(m, x)[m]
+    np.testing.assert_allclose(values, wave_function_decimal(m, x), rtol=0, atol=1e-13)
+    assert np.all(values[np.abs(x) > 38.6] != 0.0)  # a row that read 0 there
+
+
+@pytest.mark.parametrize("top", [600, 1000, 2000])
+def test_trapezoid_norms_stay_1_at_every_degree(top):
+    # step 0.01 resolves psi_m^2 up to m = 2000 (frequency 2 sqrt(2m+1) < pi / 0.01); read in chunks of points
+    x = np.arange(-7000, 7001) * 0.01
+    norms = sum((wave_functions(top, x[s : s + 1000]) ** 2).sum(axis=1) for s in range(0, x.size, 1000)) * 0.01
+    assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+def test_scaled_points_leave_the_others_bit_identical():
+    # the scaled recurrence runs on the points past |x| = 37 only; in one call with them the others read as alone
+    near, far = np.linspace(-36.9, 36.9, 35), np.array([-60.0, -38.0, 37.1, 45.0])
+    both = wave_functions(300, np.concatenate([near, far]))
+    assert both[:, : near.size].tobytes() == wave_functions(300, near).tobytes()
+    assert np.array_equal(both[:, near.size :], wave_functions(300, far))
+
+
 def test_wave_table_follows_points_changed_in_place():
     x = np.linspace(-3, 3, 41)
     wave_table(6, x)
@@ -200,10 +226,10 @@ def test_wave_table_is_read_only():
 
 def test_wave_table_keeps_no_table_above_the_cap():
     n = 9
-    points = TABLE_CACHE_BYTES // (8 * (n + 1)) + 1  # one point over the cap
+    points = TABLE_CACHE_BYTES // (8 * (n + 2)) + 1  # one point over the cap, which counts the table and its points
     x = np.linspace(-5, 5, points)
     first, second = wave_table(n, x), wave_table(n, x)
-    assert first.nbytes > TABLE_CACHE_BYTES
+    assert first.nbytes + x.nbytes > TABLE_CACHE_BYTES
     assert not np.shares_memory(first, second)
     assert np.array_equal(second, wave_functions(n, x))
     x = np.linspace(-5, 5, points - 1)  # at the cap: kept
@@ -308,8 +334,27 @@ def test_wave_table_holds_about_what_it_counts_for_one_point_reads(monkeypatch):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(hermite._tables) == TABLE_CACHE_ENTRIES and hermite._table_bytes == TABLE_CACHE_ENTRIES * 16 * 8
+    assert len(hermite._tables) == TABLE_CACHE_ENTRIES and hermite._table_bytes == TABLE_CACHE_ENTRIES * (16 + 1) * 8
     assert held <= 1.5 * 2**20, held
+
+
+def test_wave_table_counts_the_points_it_keeps(monkeypatch):
+    # degree 0 on 100 distinct 1300-point grids: a table and the copy of its points are 10.4 kB each, so counting
+    # both keeps 50 of them, and what is held stays near the 1 MiB cap (counting the tables alone held 2.13 MB)
+    monkeypatch.setattr(hermite, "wave_functions", lambda n, x, envelope: np.zeros((n + 1, x.size)))
+    grids = [np.linspace(-6, 6 + g, 1300) for g in range(100)]
+    wave_table(0, grids[0])
+    forget_tables(monkeypatch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in grids:
+            wave_table(0, x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(hermite._tables) == 50 and hermite._table_bytes == 50 * 2 * 1300 * 8
+    assert held <= 1.1 * 2**20, held
 
 
 # point sets whose tables of degree 0..40 fill the cap in a few reads: 32 rows on 2000 points are 512 kB, 64 rows
@@ -331,13 +376,14 @@ def test_wave_table_keeps_at_most_the_cap_dropping_the_least_recently_used(reads
             if model.get((g, envelope), 0) > n:
                 model.move_to_end((g, envelope))
             else:
-                rows = 1 << n.bit_length()
-                rows = rows if rows * x.nbytes <= TABLE_CACHE_BYTES else n + 1
-                if rows * x.nbytes <= TABLE_CACHE_BYTES:
+                rows = 1 << n.bit_length()  # an entry counts its rows and its points
+                rows = rows if (rows + 1) * x.nbytes <= TABLE_CACHE_BYTES else n + 1
+                if (rows + 1) * x.nbytes <= TABLE_CACHE_BYTES:
                     model.pop((g, envelope), None)
                     model[g, envelope] = rows
-                while sum(r * LRU_GRIDS[k[0]].nbytes for k, r in model.items()) > TABLE_CACHE_BYTES:
+                while sum((r + 1) * LRU_GRIDS[k[0]].nbytes for k, r in model.items()) > TABLE_CACHE_BYTES:
                     model.popitem(last=False)
             kept = [(grid_of[data], key[0], table.shape[0]) for key, (data, table) in hermite._tables.items()]
             assert kept == [(g, envelope, rows) for (g, envelope), rows in model.items()]
-            assert hermite._table_bytes == sum(t.nbytes for _, t in hermite._tables.values()) <= TABLE_CACHE_BYTES
+            kept_bytes = sum(len(data) + t.nbytes for data, t in hermite._tables.values())
+            assert hermite._table_bytes == kept_bytes <= TABLE_CACHE_BYTES

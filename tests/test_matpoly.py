@@ -326,3 +326,71 @@ def test_real_evaluation_matches_complex_path(kind, N, n_max):
                 assert real.dtype == REAL and cplx.dtype == COMPLEX
                 assert not cplx.imag.any()
                 assert np.max(np.abs(real - cplx.real)) <= 1e-15 * np.max(np.abs(real)), n
+
+
+def test_coefficients_are_read_only_and_owned():
+    rng = np.random.default_rng(17)
+    for c in (rng.standard_normal((4, 2, 2)), rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))):
+        f = MatrixGaussian(c)
+        x = np.linspace(-3, 3, 7)
+        before, coeffs = f(x), f.coeffs.copy()
+        assert not f.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            f.coeffs[0, 0, 0] = 1.0
+        c[:] = 7.0  # the caller's array, changed after construction
+        assert np.array_equal(f.coeffs, coeffs) and np.array_equal(f(x), before)
+    c = np.arange(8.0).reshape(2, 2, 2)
+    c.flags.writeable = False
+    assert np.shares_memory(MatrixGaussian(c).coeffs, c)  # a read-only input of the right dtype is not copied
+
+
+def inputs_with_lo_and_trim():
+    # real and complex data, N = 1, 2, 5, rows below lo exactly 0, and trailing rows the trim drops
+    rng = np.random.default_rng(18)
+    for N in (1, 2, 5):
+        for dtype in (float, complex):
+            c = rng.standard_normal((9, N, N)) + (1j * rng.standard_normal((9, N, N)) if dtype is complex else 0)
+            c[:3] = 0.0  # lo = 3
+            c[3, 0, 0] = -0.0
+            c[7:] *= 1e-16  # trimmed
+            yield MatrixGaussian(c)
+            yield MatrixGaussian(c[3:7])  # lo = 0
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_exact_maps_equal_the_validated_constructor_bit_for_bit(k, direction):
+    for f in inputs_with_lo_and_trim():
+        assert f.degree < 8
+        maps = [(transform_apply(f, k, direction), f.coeffs * _phase_of(f, k, direction))]
+        if k == 0:
+            maps.append((f.fourier(direction), f.coeffs * _phase_of(f, 0, direction)))
+            maps.append((f.reflect(), (-1.0) ** np.arange(f.degree + 1)[:, None, None] * f.coeffs))
+        for fast, product in maps:
+            slow = MatrixGaussian(product)
+            assert fast.coeffs.dtype == slow.coeffs.dtype and fast.coeffs.tobytes() == slow.coeffs.tobytes()
+            assert fast.lo == slow.lo == f.lo and not fast.coeffs.flags.writeable
+
+
+def _phase_of(f, k, direction):
+    """The phase i^{direction(m + kJ_b)} as the transform was written before its table was kept."""
+    power = direction * (np.arange(f.degree + 1)[:, None] + k * np.arange(f.size - 1, -1, -1))
+    return np.array([1, 1j, -1, -1j])[power % 4][:, None, :]
+
+
+def test_exact_maps_run_no_validation_and_keep_one_phase_table_per_shape(monkeypatch):
+    from matschroed import matpoly
+
+    f = inputs_with_lo_and_trim().__next__()
+    validations = []
+    checked = MatrixGaussian.__post_init__
+    monkeypatch.setattr(MatrixGaussian, "__post_init__", lambda self: validations.append(1) or checked(self))
+    matpoly._phase.cache_clear()
+    for _ in range(3):
+        transform_apply(f, 1)
+        transform_apply(f, 1, -1)
+        f.reflect().fourier()
+    assert validations == []
+    assert matpoly._phase.cache_info().misses == 3  # (k=1, +1), (k=1, -1), (k=0, +1) for the one shape
+    MatrixGaussian(f.coeffs)
+    assert validations == [1]
