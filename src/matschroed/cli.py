@@ -185,7 +185,10 @@ def cmd_check(args):
 
 def cmd_density(args):
     spec = family_spec(args)
-    i, j = (int(v) for v in args.entry.split(","))
+    try:
+        i, j = (int(v) for v in args.entry.split(","))
+    except ValueError:  # not two fields, or one that is not an integer
+        raise ValueError(f"--entry must be two integers i,j, got {args.entry!r}") from None
     if not (1 <= i <= spec.size and 1 <= j <= spec.size):
         raise ValueError(f"entry indices must be in 1..{spec.size}")
     xs = parse_grid(args.grid)

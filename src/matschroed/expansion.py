@@ -5,11 +5,11 @@ Functions are stored as psi-coefficients, so by Parseval every inner
 product is a sum of coefficient products; no quadrature is involved, also
 not in the weighted inner product of the P_n, which multiplies by R in the
 psi basis.  Expansion, reconstruction and band matrices read the family's
-table alpha directly, at the indices of its shape plan: entry (r, a) of
-Phi-tilde_n is alpha[n, r, a] psi_{n+k(a-r)}, so expansion and
-reconstruction are each one gather at the plan's offsets and one real
-product, with no Phi-tilde_n built.  A band matrix is stored as its 2k+1
-block diagonals, kept by the family; `matrix_element` reads one of its blocks.
+table alpha directly: entry (r, a) of Phi-tilde_n is alpha[n, r, a]
+psi_{n+k(a-r)}, so expansion and reconstruction are each one gather at the
+offsets of the family's shape plan and one real product, with no
+Phi-tilde_n built.  A band matrix is stored as its 2k+1 block diagonals,
+kept by the family; `matrix_element` reads one of its blocks.
 """
 
 import functools

@@ -14,11 +14,13 @@ degree, then one pass of signs and checks.
 
 A build is split like a sparse direct solve: a symbolic plan, keyed on
 (kind, N, n_max) and never on nu, and a numeric pass.  The plan (`_Plan`)
-holds every index array the build, `_band` and `expansion` need, read-only.
-Plans are kept, least recently used dropped first, up to
-PLAN_CACHE_BYTES (4 MiB: two plans of the largest supported shape, kind 2,
-N=8, n_max=400, at 1.8 MB; the 14 shapes of the benchmark's build workload
-take 0.59 MB).  The numeric pass forms T = band R^{-1} from
+holds the read-only index arrays that the build and the per-call readers of
+one shape (`expansion`, `operators`) share; a family reads it once, as
+`ctx.plan`, and keeps it, and the bands of x^k make their own indices.
+Plans are kept, least recently used dropped first, up to PLAN_CACHE_BYTES
+(4 MiB: two plans of kind 2, N=8, n_max=400, at 1.77 MB; at n_max=1500
+that plan takes 6.46 MB and is not kept; the 14 shapes of the benchmark's
+build workload take 0.50 MB).  The numeric pass forms T = band R^{-1} from
 R^{-1}, takes the constraint rows in one gather, orders them, runs the N
 stacked SVDs and signs and checks the rows; the SVDs are about two thirds of
 an N = 8 build at n_max 10 to 20 and four fifths at n_max 200 (one BLAS
@@ -153,12 +155,13 @@ class FamilyContext:
     null_margin[n, r] is the second-smallest over the largest singular value
     of the degree condition of row r of Phi-tilde_n (1.0 when the row has a
     single unknown): near machine epsilon, the row is barely determined.
-    structured and the LazyTables phi_tilde, pn and bands are made from these fields
-    on first read, then kept.  phi_tilde[n] is alpha[n] placed as is (`_function`: degree n + D, checked finite
-    but not validated again as a MatrixGaussian).  pn[n] is the MatrixGaussian of P_n(x) e^{-x^2/2} on
-    psi_0..psi_n; Phi_n is phi_tilde[n].left_mul(np.diag(np.exp(0.5 * log_norms[n]))).
-    bands[k - 1] is the read-only band of x^k, made by `_band` on first read: at N = 8,
-    n_max = 400, 0.62 MB in 0.9 ms (k = 1) and 1.03 MB in 1.9 ms (k = 2); later reads are O(1).
+    plan (read from the plan cache once, so a plan too large to be kept there is made once per family), structured
+    and the LazyTables phi_tilde, pn and bands are made from these fields on first read, then kept.  phi_tilde[n] is
+    alpha[n] placed as is (`_function`: degree n + D, checked finite but not validated again as a MatrixGaussian).
+    pn[n] is the MatrixGaussian of P_n(x) e^{-x^2/2} on psi_0..psi_n; Phi_n is
+    phi_tilde[n].left_mul(np.diag(np.exp(0.5 * log_norms[n]))).  bands[k - 1] is the read-only band of x^k, made by
+    `_band` on first read: at N = 8, n_max = 400, 0.62 MB in 1.5 ms (k = 1) and 1.03 MB in 3.0 ms (k = 2), one
+    BLAS thread on a shared 2-core x86_64; later reads are O(1).
     """
 
     spec: FamilySpec
@@ -171,9 +174,9 @@ class FamilyContext:
     def size(self):
         return self.spec.size
 
-    @property
+    @functools.cached_property
     def plan(self):
-        """The shape plan of (kind, N, n_max), from the plan cache (made again if it was dropped)."""
+        """The shape plan of (kind, N, n_max): read from the plan cache (or made) on first read, then kept."""
         return _plan(self.spec.kind, self.size, self.n_max)
 
     @functools.cached_property
@@ -196,15 +199,16 @@ class FamilyContext:
 
 
 # Bytes of shape plans that `_plan` keeps, least recently used dropped first:
-# two plans of the largest supported shape (kind 2, N=8, n_max=400, 1.8 MB
-# each).  A larger plan is made and used but not kept.
+# two plans of kind 2, N=8, n_max=400 (1.77 MB each).  A larger plan, such as
+# that shape's at n_max=1500 (6.46 MB), is made and used but not kept; the
+# family that read it keeps it.
 PLAN_CACHE_BYTES = 4 << 20
 _plans, _plans_lock = OrderedDict(), threading.Lock()
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """The part of a build that depends on (kind, N, n_max) only, never on nu; every array is read-only.
+    """What the build and the per-call readers of one (kind, N, n_max) share, never on nu; every array is read-only.
 
     T is the product table of `_product_table`, D = k(N-1) and m = n + k(a-r).
     Offsets into T count from the start of T[n] and are the same for every n:
@@ -217,11 +221,7 @@ class _Plan:
     support[n, r, a] = m; unsupported[n, r, a] is m < 0 and pinned[n, r] the
     count of such a; top[n, r] is the flat index of s[n, r, pinned[n, r]],
     the supported block's largest singular value, and tol[n, r] the rank
-    tolerance over it.  log_scale[n] = log(n! sqrt(pi) / 2^n).  The band of
-    x^j reads index j - 1 (o, d = -j..j): ladder[j-1][o+j, i] = <x^j psi_i,
-    psi_{i+o}> for i <= n_max + D (also when D < j); near[j-1][n, d+j] = n + d
-    clipped into 0..n_max, keep where unclipped; meets[j-1] lists the (d+j,
-    o+j, r, s) with o = d + k(r - s), where x^j row r of n meets row s of n+d.
+    tolerance over it.  log_scale[n] = log(n! sqrt(pi) / 2^n).
     `expansion` reads a stack X behind D zero rows: spread[u, v, i] locates X[j+k(v-u), i, v] and
     spread_alpha[u, v] alpha[j+k(v-u), v, u], from the start of row j (expand: X = F, reconstruct: X = C).
     """
@@ -238,18 +238,13 @@ class _Plan:
     tol: np.ndarray
     log_scale: np.ndarray
     support: np.ndarray
-    ladder: tuple
-    near: tuple
-    keep: tuple
-    meets: tuple
     spread: np.ndarray
     spread_alpha: np.ndarray
 
     @property
     def arrays(self):
         return (self.band, self.high, self.owner, self.diag, *self.same, self.unsupported, self.pinned, self.top,
-                self.tol, self.log_scale, self.support, *self.ladder, *self.near, *self.keep, *self.meets,
-                self.spread, self.spread_alpha)
+                self.tol, self.log_scale, self.support, self.spread, self.spread_alpha)
 
     @property
     def nbytes(self):
@@ -278,13 +273,8 @@ def _make_plan(k, N, n_max):
     band = np.moveaxis(ladder_band(n_max + D, D), 0, -1).reshape(-1, D + 1)  # T[D:] = band @ R^{-1}
     rows = tuple(np.searchsorted(owner, np.arange(N + 1)).tolist())
     top = (n[:, None] * N + a) * N + pinned
-    o = [np.arange(-j, j + 1) for j in (1, 2)]
     plan = _Plan(np.ascontiguousarray(band), high, owner, rows, diag, same, unsupported, pinned, top,
                  width * np.finfo(float).eps, log_scale, support,
-                 tuple(np.ascontiguousarray(ladder_band(n_max + D, j)[j].T) for j in (1, 2)),
-                 tuple(np.clip(n[:, None] + d, 0, n_max) for d in o),
-                 tuple((n[:, None] + d >= 0) & (n[:, None] + d <= n_max) for d in o),
-                 tuple(np.argwhere(d[:, None, None] == d[:, None, None, None] + k * (a[:, None] - a)).T for d in o),
                  ((D + shift) * N * N + a)[..., None] + a * N, (D + shift) * N * N + a * N + a[:, None])
     for x in plan.arrays:
         x.flags.writeable = False
@@ -406,15 +396,20 @@ def _band(alpha, spec, j):
     """Blocks (x^k I)_{n,n+d}, k = j + 1 and d = -k..k, of every n, (n_max+1, 2k+1, N, N), read-only; 0 past 0..n_max.
 
     Entry (r, a) of x^k Phi-tilde_n is sum_o alpha[n, r, a] <x^k psi_i, psi_{i+o}> psi_{i+o}, i = n + kind(a - r);
-    entry (r, s) of block (n, n + d) takes the o that meets row s (plan.meets): one batched product over every n.
+    entry (r, s) of block (n, n + d) takes the o = d + kind(r - s) that meets row s: one batched product over every n,
+    at indices made here from alpha's shape, with no plan.
     """
-    N, k, count, plan = spec.size, j + 1, len(alpha), _plan(spec.kind, spec.size, len(alpha) - 1)
+    N, k, count = spec.size, j + 1, len(alpha)
+    n, o = np.arange(count), np.arange(-k, k + 1)  # o: the offsets -k..k, of psi_i and of n
+    ladder = ladder_band(count - 1 + spec.kind * (N - 1), k)[k]  # (i, o): <x^k psi_i, psi_{i+o}>
     shifted = np.empty((count, 2 * k + 1, N, N))  # (n, o, r, a); `take` clips i < 0, where alpha is 0, to 0
-    np.multiply(alpha[:, None], plan.ladder[j].take(plan.support, axis=1, mode="clip").swapaxes(0, 1), out=shifted)
-    right = alpha.take(plan.near[j], axis=0) * plan.keep[j][..., None, None]  # (n, d, s, a)
+    i = n[:, None, None] + _shift(spec.kind, N)
+    np.multiply(alpha[:, None], ladder.take(i, axis=0, mode="clip").transpose(0, 3, 1, 2), out=shifted)
+    near = n[:, None] + o  # (n, d): n + d; clipped into 0..n_max, and dropped where clipped
+    right = alpha.take(np.clip(near, 0, count - 1), axis=0) * ((near >= 0) & (near < count))[..., None, None]
     pairs = shifted.reshape(count, -1, N) @ right.reshape(count, -1, N).transpose(0, 2, 1)  # 0 where dropped
     pairs = pairs.reshape(count, 2 * k + 1, N, 2 * k + 1, N)  # (n, o, r, d, s)
-    d, o, r, s = plan.meets[j]
+    d, o, r, s = np.argwhere(o[:, None, None] == o[:, None, None, None] - _shift(spec.kind, N)).T
     out = np.zeros((count, 2 * k + 1, N, N))
     out[:, d, r, s] = pairs[:, o, r, d, s]
     out.flags.writeable = False

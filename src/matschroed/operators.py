@@ -168,12 +168,12 @@ def fourier_eigen_residual(ctx: FamilyContext):
 def three_term_residual(ctx: FamilyContext):
     """Residual of x Phi-tilde_n(x) = sum_{|d|<=1} (x I)_{n,n+d} Phi-tilde_{n+d}(x) at POINTWISE_GRID, for n < n_max.
 
-    The blocks are the band of x the family keeps, `ctx.bands[0]`; relative[n] is the largest residual at the points,
-    for n < n_max only, as Phi-tilde_{n_max+1} is not built.
+    The blocks are `ctx.bands[0]`, the band of x the family keeps (0 where n + d < 0, whose index is clipped to 0);
+    relative[n] is the largest residual at the points, for n < n_max only, as Phi-tilde_{n_max+1} is not built.
     """
     n_max, values = ctx.n_max, _kernel_sums(ctx)[1]
     band = ctx.bands[0][:n_max]  # (n, d + 1, r, s), 0 where n + d < 0
-    rhs = np.einsum("ndrs,ndxsa->nxra", band, values[ctx.plan.near[0][:n_max]])
+    rhs = np.einsum("ndrs,ndxsa->nxra", band, values[np.maximum(np.arange(n_max)[:, None] + (-1, 0, 1), 0)])
     resid = np.abs(POINTWISE_GRID[:, None, None] * values[:n_max] - rhs).max(axis=(1, 2, 3))
     return _report(ctx, f"three_term_kind{ctx.spec.kind}", resid)  # absolute, as |Phi-tilde_n(x)| < 1
 

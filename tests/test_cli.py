@@ -249,6 +249,10 @@ def test_usage_errors(capsys):
     assert main(["check", "--spec", "{not json"]) == 2
     assert main(["density", "--kind", "1", "--N", "2", "--nu", "1.0", "--entry", "9,9"]) == 2
     assert main(["density", "--kind", "1", "--N", "2", "--nu", "1.0", "--grid", "bad"]) == 2
+    for entry in ("1", "1,2,3", "a,b"):  # not two integers
+        capsys.readouterr()
+        assert main(["density", "--kind", "1", "--N", "2", "--nu", "1.0", "--entry", entry]) == 2
+        assert capsys.readouterr().err == f"error: --entry must be two integers i,j, got '{entry}'\n"
     # malformed specs, an R^{-1} past the double range and a negative --nmax: a usage error, never a traceback
     capsys.readouterr()
     bad = ["[1]", '{"kind":1,"N":2,"nu":5}', '{"kind":1,"N":"2","nu":[1]}', '{"kind":1,"N":2,"nu":null}',

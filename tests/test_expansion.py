@@ -1,11 +1,13 @@
 import dataclasses
 import tracemalloc
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from matschroed import families
+from matschroed.cli import check_lines
 from matschroed.expansion import (
     CoefficientExpansion,
     _gram_blocks,
@@ -480,7 +482,7 @@ def test_real_gram_matches_complex_path(kind):
 
 
 @pytest.mark.parametrize("kind", [1, 2])
-@pytest.mark.parametrize("N", [1, 2, 5])  # N = 1: D = 0 < k, so the plan's ladder must still take k steps
+@pytest.mark.parametrize("N", [1, 2, 5])  # N = 1: D = 0 < k, so the ladder of `_band` must still take k steps
 @pytest.mark.parametrize("k", [1, 2])
 def test_band_storage_and_dense_views(kind, N, k):
     # the band against the Parseval blocks of x^k Phi-tilde_n, and every dense view against a dense
@@ -567,6 +569,28 @@ def test_band_is_made_once_per_family_and_k(monkeypatch):
     copy = dataclasses.replace(ctx)  # a new instance keeps nothing of the old one's
     band_pattern(copy, 1)
     assert sorted(calls) == [(spec, 0), (spec, 0), (spec, 1)]
+
+
+@pytest.mark.parametrize("spec", [FamilySpec(1, 3, [0.8, -1.3]), FamilySpec(2, 5, [0.8, -1.3, 1.1, 0.6])], ids=str)
+def test_a_family_reads_its_plan_once(monkeypatch, spec):
+    # with no plan kept, each read of the plan cache makes the plan again; a family reads it once and keeps it
+    monkeypatch.setattr(families, "PLAN_CACHE_BYTES", 0)
+    monkeypatch.setattr(families, "_plans", OrderedDict())
+    made, make = [], families._make_plan
+    monkeypatch.setattr(families, "_make_plan", lambda *shape: made.append(shape) or make(*shape))
+    ctx = build_family(spec, 10)
+    made.clear()
+    assert all(residual < limit for _, residual, limit in check_lines(ctx, 1e-9, 0))
+    for k in (1, 2):
+        band_pattern(ctx, k)
+    F = reconstruct(CoefficientExpansion(spec, 10, np.ones((11, spec.size, spec.size))), ctx)
+    reconstruct(expand(F, ctx), ctx)
+    assert len(made) <= 1 and ctx.plan is ctx.plan
+    # the bands make their own indices: a new instance builds them with no plan at all
+    monkeypatch.setattr(families, "_plan", lambda *shape: pytest.fail(f"_plan{shape} called"))
+    copy = dataclasses.replace(ctx)
+    for k in (1, 2):
+        assert copy.bands[k - 1].tobytes() == ctx.bands[k - 1].tobytes()
 
 
 def test_replaced_family_makes_its_own_band_from_its_own_alpha():
