@@ -138,8 +138,9 @@ def check_lines(ctx, tol, seed):
 
     Each compares the family with an independent computation (the Gram of alpha, trapezoid transforms, point
     values, the N = 2 closed form as a table of alpha or a seeded round trip); schrodinger, fourier_eigen and
-    real_integral check the psi placement only (ROADMAP item 4), as each psi_m solves them whatever alpha holds:
-    the last two read alpha times one trapezoid gap per psi_m, and real_integral <= 2 fourier_eigen at every n.
+    real_integral check the psi placement only (ROADMAP item 4), as each psi_m solves them whatever alpha holds, so
+    each is read entry by entry: schrodinger on three psi rows per entry, the last two as alpha times one trapezoid
+    gap per psi_m, kept for one psi-degree, and real_integral <= 2 fourier_eigen at every n.
     Every line reads alpha or Phi-tilde_n, so pointwise residuals are absolute, as |Phi-tilde_n(x)| < 1.
     """
     spec, n_max, N = ctx.spec, ctx.n_max, ctx.size

@@ -81,7 +81,7 @@ def inner_product_weighted(P: MatrixGaussian, Q: MatrixGaussian, spec: FamilySpe
     return inner_product(MatrixGaussian(poly_times(P.coeffs, R)), MatrixGaussian(poly_times(Q.coeffs, R)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientExpansion:
     """F = sum_n coeffs[n] Phi-tilde_n, coefficients against the orthonormal family."""
 
@@ -154,7 +154,7 @@ def matrix_element(ctx: FamilyContext, k, n, m):
     return ctx.bands[k - 1][n, m - n + k].copy()  # writable, as the zero block is
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandMatrix:
     """Multiplication by x^k in the orthonormal basis, stored as its band; every array is read-only.
 

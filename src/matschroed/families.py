@@ -145,7 +145,7 @@ class LazyTable(Sequence):
         return self._built[n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyContext:
     """Everything built for one family up to index n_max.
 
@@ -206,7 +206,7 @@ PLAN_CACHE_BYTES = 4 << 20
 _plans, _plans_lock = OrderedDict(), threading.Lock()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Plan:
     """What the build and the per-call readers of one (kind, N, n_max) share, never on nu; every array is read-only.
 

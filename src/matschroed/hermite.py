@@ -6,8 +6,8 @@ normalized wave functions, H_n the physicists' Hermite polynomials
 basis and never forms monomial coefficients of H_n or psi_n.  The values are
 right at every degree and point: where e^{-x^2/2} would underflow, the
 recurrence carries a per-point exponent (`wave_functions`).  The quadrature
-rule integrates against the weight e^{-x^2} on R; it needs numpy only, is
-computed once per order and is shared read-only.
+rule integrates against the weight e^{-x^2} on R; it is numpy's, computed
+once per order and shared read-only.
 
 `wave_table` keeps one psi table per point set and envelope flag, so many
 functions of the same or lower degree on one grid run the recurrence once, also
@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Gauss-Hermite nodes/weights for the weight e^{-x^2}."""
 
@@ -136,27 +136,16 @@ def wave_function(n, x):
 def gauss_hermite(m):
     """m-point Gauss-Hermite rule, cached by order; the returned arrays are read-only.
 
-    The nodes are the eigenvalues of the symmetric Jacobi matrix with
-    off-diagonal sqrt(k/2) (Golub & Welsch, Math. Comp. 23, 1969), refined
-    by one Newton step on psi_m.  The weights are the Christoffel numbers
-    e^{-x^2} / (m psi_{m-1}(x)^2), scaled to sum to sqrt(pi); unlike the
-    squared first eigenvector components, they keep full relative accuracy
-    at the small outer nodes.  Weights below the double range are 0.
+    numpy's `hermgauss`: the eigenvalues of the companion matrix refined by
+    one Newton step, with weights from the scaled polynomials, symmetrized.
+    It is imported here, as `import numpy` does not load numpy.polynomial and
+    only callers of a rule need it.
     """
+    from numpy.polynomial.hermite import hermgauss
+
     if m < 1:
         raise ValueError("order must be >= 1")
-    beta = np.sqrt(np.arange(1, m) / 2.0)
-    nodes = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
-    weights = np.exp(-nodes * nodes)
-    live = weights > 0
-    t = nodes[live]
-    t -= wave_function(m, t) / (np.sqrt(2.0 * m) * wave_function(m - 1, t))
-    nodes[live] = t
-    weights[live] = np.exp(-t * t) / wave_function(m - 1, t) ** 2
-    weights *= np.sqrt(np.pi) / weights.sum()
-    # symmetrize: the rule is symmetric up to rounding
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
+    nodes, weights = hermgauss(m)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(order=m, nodes=nodes, weights=weights)

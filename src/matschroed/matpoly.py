@@ -92,7 +92,7 @@ def poly_times(c, P):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixGaussian:
     """f(x) = sum_m coeffs[m] psi_m(x), coeffs[m] N x N: float64 for real or integer input, else complex128.
 
@@ -100,8 +100,8 @@ class MatrixGaussian:
     """
 
     coeffs: np.ndarray = field(repr=False)
-    lo: int = field(init=False, repr=False, compare=False)  # lowest index with a nonzero coefficient (0 if none)
-    stride: int = field(default=1, init=False, repr=False, compare=False)  # rows lo::stride hold every nonzero one
+    lo: int = field(init=False, repr=False)  # lowest index with a nonzero coefficient (0 if none)
+    stride: int = field(default=1, init=False, repr=False)  # rows lo::stride hold every nonzero one
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)

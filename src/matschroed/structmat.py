@@ -20,7 +20,7 @@ _COS_HALF_PI = np.array([1.0, 0.0, -1.0, 0.0])
 NILPOTENCY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredPair:
     """Nilpotent shift A and level diagonal J for a given size and parameters."""
 

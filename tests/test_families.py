@@ -83,6 +83,15 @@ def test_spec_json_roundtrip():
     assert FamilySpec.from_json(spec.to_json()) == spec
 
 
+def test_families_compare_by_identity():
+    # objects that hold arrays compare and hash as themselves; only the spec compares by value
+    spec = FamilySpec(1, 3, [0.8, -1.3])
+    a, b = build_family(spec, 4), build_family(spec, 4)
+    assert (a == b) is False and a.spec == b.spec
+    assert len({a, b}) == 2 and a == a
+    assert (a.phi_tilde[2] == b.phi_tilde[2]) is False
+
+
 def test_gamma_seq_values():
     g1 = gamma_seq(FamilySpec(1, 2, [1.0]), 4)
     np.testing.assert_allclose(g1, [1.0, 1.5, 2.0, 2.5, 3.0])

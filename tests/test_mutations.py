@@ -5,9 +5,10 @@ mutant and shape the table holds the set of `cli.check_lines` names that must fa
 every other line must pass.  A new line, a changed limit or a line that starts to see a fault updates the table.
 The failing lines read 9.8e-7 or more and the passing ones 1e-14 or less, so the limits are far from both.
 
-Oracle noise is the one mutant of the check rather than of the family: complex noise added to the trapezoid gap of
-`operators._kernel_sums`, at the first decade where `fourier_eigen` fails (NOISE_FAILS, measured).  `real_integral`
-reads the same gap, so there it fails too or reads at most twice `fourier_eigen`; no other line reads the gap.
+Oracle noise is the one mutant of the check rather than of the family: complex noise added to the trapezoid gap per
+psi_m of `operators._psi_tables`, at the first decade where `fourier_eigen` fails (NOISE_FAILS, measured).
+`real_integral` reads the same gap, so there it fails too or reads at most twice `fourier_eigen`; no other line reads
+the gap.
 """
 
 import dataclasses
@@ -101,11 +102,11 @@ NOISE_FAILS = 1e-9
 @pytest.mark.parametrize("N", [2, 3, 5])
 def test_oracle_noise_fails_fourier_eigen_and_real_integral_at_most_twice_it(monkeypatch, kind, N):
     ctx = built(kind, N)
-    gap, values = operators._kernel_sums(ctx)
+    gap, values = operators._psi_tables(ctx.n_max + kind * (N - 1), operators.TRAPEZOID_STEP)
     rng = np.random.default_rng([kind, N])
     unit = rng.standard_normal(gap.shape) + 1j * rng.standard_normal(gap.shape)
     for level in (10.0 ** -e for e in range(14, 5, -1)):
-        monkeypatch.setattr(operators, "_kernel_sums", lambda c, noisy=gap + level * unit: (noisy, values))
+        monkeypatch.setattr(operators, "_psi_tables", lambda top, step, noisy=gap + level * unit: (noisy, values))
         lines = {name: (residual, limit) for name, residual, limit in check_lines(ctx, TOL, DEFAULT_SEED)}
         failing = {name for name, (residual, limit) in lines.items() if residual >= limit}
         if "fourier_eigen" in failing:

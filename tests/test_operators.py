@@ -299,18 +299,44 @@ def test_batched_residuals_match_the_per_n_algebra(kind, N, n_max):
                 assert abs(got - absolute) <= 1e-14 * scale and scale == 1.0, (name, n, got, absolute, scale)
 
 
-def test_kernel_sums_peak_memory_at_n_max_400(monkeypatch):
-    # one node range for every n and one product with the psi table at its nodes (5 MB here); 9.3 MB measured
-    ctx = build_family(FamilySpec(1, 8, [0.8] * 7), 400)
-    monkeypatch.setattr(operators, "_kept", None)
+def peak_bytes(f, *args):
+    """f(*args) and the peak of the memory it traced."""
     tracemalloc.start()
     try:
-        rep = fourier_eigen_residual(ctx)
-        peak = tracemalloc.get_traced_memory()[1]
+        return f(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_psi_tables_peak_memory_at_n_max_400():
+    # one node range for every psi_m and one product with the psi table at its nodes (5 MB here); 5.5 MB measured
+    ctx = build_family(FamilySpec(1, 8, [0.8] * 7), 400)
+    operators._psi_tables.cache_clear()
+    rep, peak = peak_bytes(fourier_eigen_residual, ctx)
     assert rep.passed(DEFAULT_TOL).all()
     assert peak < 25e6, peak
+
+
+def test_schrodinger_peak_memory_at_n_max_400():
+    # three psi rows per entry of alpha, O(n_max N^2): 5.3 MB measured
+    ctx = build_family(FamilySpec(2, 8, [0.1, -0.1] * 3 + [0.1]), 400)
+    rep, peak = peak_bytes(schrodinger_residual, ctx)
+    assert rep.passed(DEFAULT_TOL).all()
+    assert peak <= 8e6, peak
+
+
+def test_psi_tables_are_made_once_for_a_family_and_its_copies(monkeypatch):
+    # the tables are kept per psi-degree, not per family: a `dataclasses.replace` copy reads the same ones
+    calls = []
+    nodes = operators._trapezoid_nodes
+    monkeypatch.setattr(operators, "_trapezoid_nodes", lambda degree: calls.append(degree) or nodes(degree))
+    operators._psi_tables.cache_clear()
+    ctx = build_family(FamilySpec(2, 3, [0.8, -1.3]), 12)
+    for c in (ctx, dataclasses.replace(ctx), dataclasses.replace(ctx, alpha=-ctx.alpha)):
+        for line in (fourier_eigen_residual, three_term_residual, real_integral_residual):
+            line(c)
+    assert calls == [12 + 2 * 2]
+    assert operators._psi_tables.cache_info().currsize == 1
 
 
 RESIDUALS = {
@@ -340,13 +366,14 @@ def test_residuals_of_a_non_finite_alpha_name_the_index(variant):
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
 @pytest.mark.parametrize("kind", [1, 2])
 def test_real_integral_is_at_most_twice_fourier_eigen(monkeypatch, kind, N, noise):
-    # both lines read the one gap of `_kernel_sums`: real_integral |front Re/Im(gap) back| with |front| <= 1 and
-    # |back| <= 2, fourier_eigen |gap|; so per n the relation holds for any gap, here with complex noise added to it
+    # both lines read the one gap per psi_m of `_psi_tables`: real_integral |front alpha Re/Im(gap) back| with
+    # |front| <= 1 and |back| <= 2, fourier_eigen |alpha gap|; so per n the relation holds for any gap, here with
+    # complex noise added to it
     ctx = build_family(FamilySpec(kind, N, np.resize([0.8, -1.3, 0.6, 1.1], N - 1)), 30)
-    gap, values = operators._kernel_sums(ctx)
+    gap, values = operators._psi_tables(30 + kind * (N - 1), TRAPEZOID_STEP)
     rng = np.random.default_rng([kind, N])
     noisy = gap + noise * (rng.standard_normal(gap.shape) + 1j * rng.standard_normal(gap.shape))
-    monkeypatch.setattr(operators, "_kernel_sums", lambda c: (noisy, values))
+    monkeypatch.setattr(operators, "_psi_tables", lambda top, step: (noisy, values))
     fourier = fourier_eigen_residual(ctx).relative
     assert noise == 0.0 or fourier.min() > noise / 10
     for form, sign in [("even", 1), ("even", -1), ("odd", 1), ("odd", -1)] if kind == 1 else [("even", 1)]:
