@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .expansion import CoefficientExpansion, band_pattern, expand, reconstruct
-from .families import ConsistencyError, FamilySpec, _at_support, _closed_alpha, build_family, gamma_seq
+from .families import ConsistencyError, FamilySpec, _at_support, _closed_alpha, _integer, build_family, gamma_seq
 from .hermite import wave_functions
 from .matpoly import MatrixGaussian
 from .operators import (
@@ -53,9 +53,9 @@ def mg_from_dict(data):
     if not isinstance(data, dict):
         raise ValueError(f"a function file must hold a JSON object, got {type(data).__name__}")
     N, d = data["N"], data["degree"]
-    if not isinstance(N, int) or N < 1:
+    if not _integer(N) or N < 1:  # a JSON true is an int to isinstance
         raise ValueError(f"'N' must be a positive integer, got {N!r}")
-    if not isinstance(d, int) or d < 0:
+    if not _integer(d) or d < 0:
         raise ValueError(f"'degree' must be a non-negative integer, got {d!r}")
     try:
         pairs = np.asarray(data["coeffs"], dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import FamilyContext, FamilySpec, _behind, build_structured, right_factor_poly
+from .families import FamilyContext, FamilySpec, _behind, right_factor_poly
 from .matpoly import MatrixGaussian, poly_times
 
 # largest |F - sum C_n Phi-tilde_n|, relative to max |F| (both over psi-coefficients), that `expand` accepts
@@ -77,7 +77,7 @@ def inner_product_weighted(P: MatrixGaussian, Q: MatrixGaussian, spec: FamilySpe
     """
     if P.size != spec.size or Q.size != spec.size:
         raise ValueError(f"sizes {P.size} and {Q.size} do not match the family's N={spec.size}")
-    R = right_factor_poly(build_structured(spec.size, spec.nu), spec.kind)
+    R = right_factor_poly(spec)
     return inner_product(MatrixGaussian(poly_times(P.coeffs, R)), MatrixGaussian(poly_times(Q.coeffs, R)))
 
 

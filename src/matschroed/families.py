@@ -25,9 +25,9 @@ R^{-1}, takes the constraint rows in one gather, orders them, runs the N
 stacked SVDs and signs and checks the rows; the SVDs are about two thirds of
 an N = 8 build at n_max 10 to 20 and four fifths at n_max 200 (one BLAS
 thread).  Phi-tilde_n and P_n e^{-x^2/2} = ||P_n|| Phi-tilde_n R^{-1} are made
-from alpha when first read, both as psi-coefficients (P_n from a T made again
-from the plan, so a family keeps no T); expansion, reconstruction and band
-matrices read alpha directly.
+from alpha, each alone when its n is first read, both as psi-coefficients (P_n
+by `matpoly.poly_times`, so a family keeps no T); expansion, reconstruction and
+band matrices read alpha directly.
 """
 
 import functools
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matpoly import MatrixGaussian, ladder_band, poly_eval
-from .structmat import StructuredPair, _taylor_sum, build_structured
+from .matpoly import MatrixGaussian, ladder_band, poly_eval, poly_times
+from .structmat import _taylor_sum, build_structured
 
 
 class ConsistencyError(RuntimeError):
@@ -103,9 +103,9 @@ def gamma_seq(spec, n_max):
     return _finite(g, spec, "gamma_n")
 
 
-def right_factor_poly(pair: StructuredPair, kind, sign=1):
-    """Matrix polynomial part of the weight factor R = e^{Ax} or e^{Bx^2}; sign=-1 gives R^{-1}."""
-    N, A = pair.size, pair.A
+def right_factor_poly(spec, sign=1):
+    """Matrix polynomial part of the spec's weight factor R = e^{Ax} or e^{Bx^2}; sign=-1 gives R^{-1}."""
+    N, kind, A = spec.size, spec.kind, build_structured(spec.size, spec.nu).A
     if kind == 2:
         A = A @ _taylor_sum([(-1) ** j * math.factorial(j) for j in range(N)], A)  # B = A (I+A)^{-1}; A^N = 0
     coeffs = np.zeros((kind * (N - 1) + 1, N, N))
@@ -118,11 +118,10 @@ def right_factor_poly(pair: StructuredPair, kind, sign=1):
 
 def weight_eval(spec, x):
     """The weight matrix W(x) = e^{-x^2} R(x) R(x)^T; symmetric positive definite, W(0) = I."""
-    pair = build_structured(spec.size, spec.nu)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xs = np.atleast_1d(x)
-    R = poly_eval(right_factor_poly(pair, spec.kind), xs)
+    R = poly_eval(right_factor_poly(spec), xs)
     vals = R @ np.swapaxes(R, 1, 2) * np.exp(-xs * xs)[:, None, None]
     return vals[0] if scalar else vals
 
@@ -158,7 +157,7 @@ class FamilyContext:
     plan (read from the plan cache once, so a plan too large to be kept there is made once per family), structured
     and the LazyTables phi_tilde, pn and bands are made from these fields on first read, then kept.  phi_tilde[n] is
     alpha[n] placed as is (`_function`: degree n + D, checked finite but not validated again as a MatrixGaussian).
-    pn[n] is the MatrixGaussian of P_n(x) e^{-x^2/2} on psi_0..psi_n; Phi_n is
+    pn[n] is the MatrixGaussian of P_n(x) e^{-x^2/2} on psi_0..psi_n, made alone from alpha[n] (`_poly`); Phi_n is
     phi_tilde[n].left_mul(np.diag(np.exp(0.5 * log_norms[n]))).  bands[k - 1] is the read-only band of x^k, made by
     `_band` on first read: at N = 8, n_max = 400, 0.62 MB in 1.5 ms (k = 1) and 1.03 MB in 3.0 ms (k = 2), one
     BLAS thread on a shared 2-core x86_64; later reads are O(1).
@@ -189,9 +188,9 @@ class FamilyContext:
 
     @functools.cached_property
     def pn(self):
-        with np.errstate(over="ignore"):  # ||P_n|| leaves the double range near n = 340
-            root = np.exp(0.5 * self.log_norms)
-        return LazyTable(self.n_max + 1, functools.partial(_poly, _pn_window(self), root, self.spec))
+        with np.errstate(over="ignore", invalid="ignore"):  # ||P_n|| overflows from n near 340: `_poly` raises
+            root, R_inv = np.exp(0.5 * self.log_norms), right_factor_poly(self.spec, sign=-1)
+        return LazyTable(self.n_max + 1, functools.partial(_poly, self.alpha, self.spec, R_inv, root))
 
     @functools.cached_property
     def bands(self):
@@ -427,25 +426,11 @@ def _function(alpha, spec, n):
     return MatrixGaussian._exact(coeffs[: top + 1], lo, k)
 
 
-def _pn_window(ctx):
-    """Every Phi-tilde_n R^{-1} on psi_{n-2D}..psi_n, R^{-1} from ctx.structured: P_n e^{-x^2/2} before its ||P_n||."""
-    N, k, n_max, plan = ctx.size, ctx.spec.kind, ctx.n_max, ctx.plan
-    D = k * (N - 1)
-    T = _product_table(plan, right_factor_poly(ctx.structured, k, sign=-1))
-    i, w, _, a = np.ogrid[: n_max + 1, : 2 * D + 1, :N, :N]
-    m = plan.support[:, None]  # (i, 1, r, a)
-    o = w - D - (m - i)  # offset of psi_{i-2D+w} from psi_m
-    prod = T[D + m, np.clip(o, 0, 2 * D), a] * ((o >= 0) & (o <= 2 * D))[..., None]
-    return np.einsum("iwrab,ira->iwrb", prod, ctx.alpha)
-
-
-def _poly(window, root, spec, n):
-    """P_n(x) e^{-x^2/2} = Phi_n R^{-1} on psi_0..psi_n: row r of `_pn_window`'s window[n] times root[n, r]."""
-    coeffs = np.zeros((n + 1, spec.size, spec.size))  # P_n has degree n
+def _poly(alpha, spec, R_inv, root, n):
+    """P_n(x) e^{-x^2/2} = ||P_n|| Phi-tilde_n R^{-1} on psi_0..psi_n (P_n has degree n): row r times root[n, r]."""
     with np.errstate(over="ignore", invalid="ignore"):  # past the double range; `_finite` raises
-        row = window[n, -(n + 1) :] * root[n][:, None]
-    coeffs[max(0, n + 1 - window.shape[1]) :] = _finite(row, spec, f"n={n}: P_n")
-    return MatrixGaussian(coeffs)
+        coeffs = poly_times(_function(alpha, spec, n).coeffs, R_inv)[: n + 1] * root[n][:, None]
+    return MatrixGaussian(_finite(coeffs, spec, f"n={n}: P_n"))
 
 
 def build_family(spec, n_max):
@@ -457,16 +442,16 @@ def build_family(spec, n_max):
     Phi-tilde_n R^{-1}: ||P_n||^2 = diag(n! sqrt(pi) / (2^n c_r^2)), Phi_n =
     ||P_n|| Phi-tilde_n, and P_n, the polynomial part of Phi_n R^{-1}
     e^{x^2/2}, has a unit-diagonal leading coefficient.  The context derives
-    phi_tilde[n] on first read; its first pn read makes the psi-coefficients
-    of every Phi-tilde_n R^{-1} in one batch (`_pn_window`), and pn[n] raises
-    ValueError once ||P_n|| leaves the double range (for N = 2, from n near
-    340).  A spec whose R^{-1}, product table T or pin scale leaves the double range raises ValueError.
+    phi_tilde[n] and pn[n] when n is first read, pn[n] as phi_tilde[n] times
+    R^{-1} (`_poly`, O((n + D) D N^2) per read, D = k(N-1)); pn[n] raises ValueError once
+    ||P_n|| leaves the double range (for N = 2, from n near 340).  A spec whose
+    R^{-1}, product table T or pin scale leaves the double range raises ValueError.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     plan = _plan(spec.kind, spec.size, n_max)
     with np.errstate(over="ignore", invalid="ignore"):  # `_finite` raises on an R^{-1} or T past the double range
-        R_inv = right_factor_poly(build_structured(spec.size, spec.nu), spec.kind, sign=-1)
+        R_inv = right_factor_poly(spec, sign=-1)
         T = _product_table(plan, _finite(R_inv, spec, "R^{-1}"))
     alpha, lead, margin = _table(spec, T, plan)
     alpha.flags.writeable = False

@@ -126,12 +126,6 @@ def wave_table(n, x, envelope=True):
     return out[: n + 1]
 
 
-def wave_function(n, x):
-    """psi_n(x) for scalar or array x; see `wave_functions`."""
-    x = np.asarray(x, dtype=float)
-    return wave_functions(n, x.ravel())[n].reshape(x.shape)
-
-
 @lru_cache(maxsize=None)
 def gauss_hermite(m):
     """m-point Gauss-Hermite rule, cached by order; the returned arrays are read-only.

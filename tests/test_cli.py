@@ -54,8 +54,10 @@ GOOD = {"N": 2, "degree": 1, "coeffs": [[[1.0, 0.0]] * 4, [[0.5, -0.5]] * 4]}
         ({**GOOD, "coeffs": [[[float("nan"), 0.0]] * 4, [[0.5, -0.5]] * 4]}, "'coeffs'"),
         ([1, 2], "JSON object, got list"),  # not an object: no field to read
         (None, "JSON object, got NoneType"),
+        ({**GOOD, "N": True}, "'N'"),  # a JSON true is an int to isinstance, and True == 1
+        ({**GOOD, "degree": True}, "'degree'"),
     ],
-    ids=["degree-too-large", "ragged", "short-matrix", "extra-matrix", "nan", "list", "null"],
+    ids=["degree-too-large", "ragged", "short-matrix", "extra-matrix", "nan", "list", "null", "N-true", "degree-true"],
 )
 def test_mg_from_dict_rejects_bad_input(tmp_path, capsys, data, field):
     assert mg_from_dict(GOOD).degree == 1

@@ -350,7 +350,7 @@ def test_replaced_context_reads_its_own_alpha_and_spec():
     spec = FamilySpec(1, 3, [0.5, 2.0])
     moved = dataclasses.replace(ctx, spec=spec)
     assert moved.structured.nu.tolist() == list(spec.nu) and before[2].nu.tolist() == [0.8, -1.3]
-    R_inv = right_factor_poly(build_structured(3, spec.nu), 1, -1)
+    R_inv = right_factor_poly(spec, -1)
     for n in (0, 5, 10):
         Phi = ctx.phi_tilde[n].left_mul(np.diag(np.exp(0.5 * ctx.log_norms[n])))
         expected = poly_times(Phi.coeffs, R_inv)[: n + 1]
@@ -392,7 +392,7 @@ def test_boundary_rows_match_a_plain_svd(kind):
     assert np.all(ctx.alpha[~supported] == 0.0)
     one = supported.sum(axis=2) == 1
     assert one.any() and np.all(ctx.null_margin[one] == 1.0)
-    R_inv = right_factor_poly(ctx.structured, kind, -1)
+    R_inv = right_factor_poly(ctx.spec, -1)
     for r in range(N):
         for n in range(n_max + 1):
             cols = [a for a in range(N) if n + kind * (a - r) >= 0]
@@ -464,7 +464,7 @@ def test_plan_cache_stays_within_its_bound():
 
 
 def test_context_keeps_no_product_table_alive():
-    # the product table (3.2 MB here) is made again from the plan on the first pn read
+    # the product table (3.2 MB here) lives only inside the build; pn[n] is made from alpha[n] alone when read
     spec = FamilySpec(2, 8, (0.8,) * 7)
     build_family(spec, 200)  # its plan is cached outside the measurement
     tracemalloc.start()
@@ -478,21 +478,30 @@ def test_context_keeps_no_product_table_alive():
     assert ctx.pn[200].degree == 200
 
 
-def test_pn_built_in_one_batch_on_first_read(monkeypatch):
-    # every P_n is a psi-window of one product over all n, the window einsum below
-    calls, einsum = [], np.einsum
-
-    def counting(subscripts, *operands, **kw):
-        calls.append(subscripts)
-        return einsum(subscripts, *operands, **kw)
-
-    monkeypatch.setattr(np, "einsum", counting)
+def test_pn_made_alone_on_first_read(monkeypatch):
+    # each P_n is its own Phi-tilde_n times R^{-1}, one `poly_times` call on the first read of its n only
+    calls, poly_times = [], families.poly_times
+    monkeypatch.setattr(families, "poly_times", lambda c, P: calls.append(len(c)) or poly_times(c, P))
     ctx = build_family(FamilySpec(1, 3, [0.8, -1.3]), 8)
-    assert calls.count("iwrab,ira->iwrb") == 0  # building makes no P_n
+    assert len(calls) == 0  # building makes no P_n
     first = ctx.pn[5]
-    assert calls.count("iwrab,ira->iwrb") == 1
+    assert len(calls) == 1
     assert all(p.degree == n and p.size == 3 for n, p in enumerate(ctx.pn)) and ctx.pn[5] is first
-    assert calls.count("iwrab,ira->iwrb") == 1
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("n_max", [400, 1500])
+def test_first_pn_read_takes_no_family_wide_memory(n_max):
+    # pn[0] reads alpha[0] and R^{-1} only: no array over every n besides the (n_max+1, N) norms
+    ctx = build_family(FamilySpec(2, 8, (0.1, -0.1) * 3 + (0.1,)), n_max)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert ctx.pn[0].degree == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 10**6, peak
 
 
 @pytest.mark.parametrize("kind", [1, 2])

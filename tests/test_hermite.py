@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from hermite_reference import hermite_phys, wave_function_decimal, wave_poly
 from matschroed import hermite
 from matschroed.families import FamilySpec, build_family
-from matschroed.hermite import (TABLE_CACHE_BYTES, TABLE_CACHE_ENTRIES, gauss_hermite, wave_function, wave_functions,
-                                wave_table)
+from matschroed.hermite import TABLE_CACHE_BYTES, TABLE_CACHE_ENTRIES, gauss_hermite, wave_functions, wave_table
 
 
 def test_phys_recurrence_pointwise():
@@ -27,19 +26,20 @@ def test_phys_recurrence_pointwise():
 
 
 def test_wave_function_values():
-    assert abs(wave_function(0, 0.0) - np.pi ** -0.25) < 1e-15
-    assert wave_function(1, 0.0) == 0.0
+    psi = wave_functions(1, np.atleast_1d(0.0))[:, 0]
+    assert abs(psi[0] - np.pi ** -0.25) < 1e-15
+    assert psi[1] == 0.0
 
 
 def test_wave_function_normalized():
     rule = gauss_hermite(40)
     # psi_3(x)^2 = (poly e^{-x^2/2})^2: pair with the e^{-x^2} weight
-    vals = wave_function(3, rule.nodes) * np.exp(rule.nodes ** 2 / 2)
+    vals = wave_functions(3, rule.nodes)[3] * np.exp(rule.nodes ** 2 / 2)
     assert abs(np.sum(rule.weights * vals ** 2) - 1.0) < 1e-12
 
 
 def test_wave_function_large_n_finite():
-    assert np.isfinite(wave_function(200, 1.0))
+    assert np.isfinite(wave_functions(200, np.atleast_1d(1.0))[200]).all()
 
 
 def test_wave_poly_matches_wave_function():
@@ -47,7 +47,7 @@ def test_wave_poly_matches_wave_function():
     for n in (0, 1, 5, 12):
         c = wave_poly(n)
         np.testing.assert_allclose(
-            np.polyval(c[::-1], xs) * np.exp(-xs ** 2 / 2), wave_function(n, xs), atol=1e-12
+            np.polyval(c[::-1], xs) * np.exp(-xs ** 2 / 2), wave_functions(n, xs)[n], atol=1e-12
         )
 
 
@@ -56,10 +56,9 @@ def test_wave_derivative_identity():
     h = 1e-5
     xs = np.linspace(-6, 6, 25)
     for n in range(1, 21):
-        fd = (wave_function(n, xs + h) - wave_function(n, xs - h)) / (2 * h)
-        ident = np.sqrt(n / 2.0) * wave_function(n - 1, xs) - np.sqrt((n + 1) / 2.0) * wave_function(
-            n + 1, xs
-        )
+        fd = (wave_functions(n, xs + h)[n] - wave_functions(n, xs - h)[n]) / (2 * h)
+        psi = wave_functions(n + 1, xs)
+        ident = np.sqrt(n / 2.0) * psi[n - 1] - np.sqrt((n + 1) / 2.0) * psi[n + 1]
         np.testing.assert_allclose(fd, ident, atol=1e-6)
 
 
@@ -112,7 +111,7 @@ def test_gauss_hermite_outer_weights():
     m = 40
     rule = gauss_hermite(m)
     t = rule.nodes
-    polys = np.array([wave_function(k, t) * np.exp(t ** 2 / 2) for k in range(m)])
+    polys = wave_functions(m - 1, t) * np.exp(t ** 2 / 2)
     gram = (polys * rule.weights) @ polys.T
     assert np.max(np.abs(gram - np.eye(m))) < 1e-12
 
@@ -121,7 +120,7 @@ def test_scalar_matrix_elements():
     # (x)_{nm} and (x^2)_{nm} for wave functions, via quadrature
     rule = gauss_hermite(40)
     t, w = rule.nodes, rule.weights
-    psis = [wave_function(n, t) * np.exp(t ** 2 / 2) for n in range(13)]
+    psis = wave_functions(12, t) * np.exp(t ** 2 / 2)
     for n in range(11):
         for m in range(11):
             x1 = np.sum(w * t * psis[n] * psis[m])
@@ -146,7 +145,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         gauss_hermite(0)
     with pytest.raises(ValueError):
-        wave_function(-2, 0.0)
+        wave_functions(-2, np.atleast_1d(0.0))
 
 
 @pytest.mark.parametrize("envelope", [True, False])

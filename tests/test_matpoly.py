@@ -4,7 +4,7 @@ import pytest
 from hermite_reference import wave_poly
 from matschroed.expansion import CoefficientExpansion, band_pattern, expand, inner_product, matrix_element, reconstruct
 from matschroed.families import FamilySpec, build_family, closed_form_N2, gamma_seq
-from matschroed.hermite import wave_function, wave_table
+from matschroed.hermite import wave_functions, wave_table
 from matschroed.matpoly import MatrixGaussian, ladder, ladder_band
 from matschroed.operators import quadrature_transform, transform_apply
 from matschroed.structmat import phase_diag
@@ -26,8 +26,9 @@ def test_eval_matches_normalized_family_at_zero():
     ctx = build_family(spec, 0)
     g = gamma_seq(spec, 2)
     val = ctx.phi_tilde[0](0.0)
-    assert abs(val[0, 0] - wave_function(0, 0.0) / np.sqrt(g[1])) < 1e-14
-    assert abs(val[1, 1] - wave_function(0, 0.0) / np.sqrt(g[0])) < 1e-14
+    psi0 = wave_functions(0, np.atleast_1d(0.0))[0, 0]
+    assert abs(val[0, 0] - psi0 / np.sqrt(g[1])) < 1e-14
+    assert abs(val[1, 1] - psi0 / np.sqrt(g[0])) < 1e-14
 
 
 def test_eval_matches_naive_sum():
